@@ -10,7 +10,6 @@ the Chern-class relation generator over F_p[u]/u^(p^(ks)).
 from .chern import (
     ChernRelationSet,
     NilpotenceCertificate,
-    TruncatedCoeffRing,
     pk_nilpotence,
     relation_set,
     required_level,
@@ -57,7 +56,6 @@ from .ring import (
     Domain,
     SparsePoly,
     TruncationPolicy,
-    elementary_symmetric,
     elementary_symmetric_all,
     prime_field,
 )
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChernRelationSet",
     "NilpotenceCertificate",
-    "TruncatedCoeffRing",
     "pk_nilpotence",
     "relation_set",
     "required_level",
@@ -107,7 +104,6 @@ __all__ = [
     "Domain",
     "SparsePoly",
     "TruncationPolicy",
-    "elementary_symmetric",
     "elementary_symmetric_all",
     "prime_field",
     "WittFamily",

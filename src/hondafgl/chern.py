@@ -23,6 +23,7 @@ from .engine import (
     DEFAULT_MAX_Y_CAP,
     FglParams,
     TruncatedFgl,
+    _require_recursion_height,
     build_tower,
     p_series,
 )
@@ -32,24 +33,6 @@ from .ring import SparsePoly, TruncationPolicy, elementary_symmetric_all
 DEFAULT_MAX_TERMS = 10**7
 
 
-@dataclass(frozen=True)
-class TruncatedCoeffRing:
-    """F_p[u]/u^(p^(ks)): the coefficients available over a cyclic p^k factor."""
-
-    p: int
-    s: int
-    k: int
-
-    def __post_init__(self):
-        FglParams(self.p, self.s)
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
-
-    @property
-    def u_cap(self) -> int:
-        return self.p ** (self.k * self.s)
-
-
 def required_level(params: FglParams, k: int) -> int:
     """Smallest n with q^n >= p^(ks): the level where u-truncation takes over.
 
@@ -57,6 +40,7 @@ def required_level(params: FglParams, k: int) -> int:
     under u^(p^(ks)) = 0 once q^n >= p^(ks); so P_n already determines every
     F(x_j, u).  Equals ceil(ks/(s-1)).
     """
+    _require_recursion_height(params)
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     n = -(-k * params.s // (params.s - 1))
@@ -87,8 +71,6 @@ def pk_nilpotence(params: FglParams, k: int, tower: list[TruncatedFgl]) -> Nilpo
     statement holds only modulo u^(p^(ks)) itself and the certificate would
     be empty, so that case raises VacuityError instead of "passing".
     """
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
     n = len(tower)
     expected = params.p ** (k * params.s)
     if params.q**n <= expected:
@@ -120,9 +102,9 @@ def relation_set(
     max_y_cap: int = DEFAULT_MAX_Y_CAP,
 ) -> ChernRelationSet:
     """Generate all m relations in the variables (x_1, .., x_m, u)."""
-    ring = TruncatedCoeffRing(params.p, params.s, k)
-    m = params.p**k
     n = required_level(params, k)
+    m = params.p**k
+    u_cap = params.p ** (k * params.s)
     tower = build_tower(params, n, max_y_cap=max_y_cap)
     top = tower[-1].poly
     projected = m * len(top.terms)
@@ -133,7 +115,7 @@ def relation_set(
             projected=projected,
         )
     variables = tuple(f"x{j}" for j in range(1, m + 1)) + ("u",)
-    trunc = TruncationPolicy(caps={"u": ring.u_cap})
+    trunc = TruncationPolicy(caps={"u": u_cap})
     fp = params.fp
     u = SparsePoly.variable(variables, fp, "u")
     roots = [SparsePoly.variable(variables, fp, f"x{j}") for j in range(1, m + 1)]
@@ -141,4 +123,4 @@ def relation_set(
     sigma_shifted = elementary_symmetric_all(shifted, trunc)
     sigma_roots = elementary_symmetric_all(roots, trunc)
     relations = tuple(sigma_shifted[i] - sigma_roots[i] for i in range(1, m + 1))
-    return ChernRelationSet(params, k, m, n, ring.u_cap, variables, relations)
+    return ChernRelationSet(params, k, m, n, u_cap, variables, relations)

@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 a verification subcommand found a mismatch or
 violation (the report still goes to standard output), 2 invalid parameters,
 3 a resource guard refused the computation.  Output is deterministic for a
 given invocation; FGL_MAX_TERMS in the environment overrides the guards.
+Each subcommand returns its exit status with a JSON payload under --json or
+text lines otherwise; `main` alone renders the result and writes it.
 """
 
 from __future__ import annotations
@@ -87,32 +89,32 @@ def _params(args, allow_height_one: bool = False) -> engine.FglParams:
     return engine.FglParams(args.p, args.s, allow_height_one=allow_height_one)
 
 
-def _cmd_witt(args) -> tuple[str, int]:
+def _tower(params: engine.FglParams, level: int) -> list[engine.TruncatedFgl]:
+    return engine.build_tower(params, level, max_y_cap=engine.guard_limit(engine.DEFAULT_MAX_Y_CAP))
+
+
+def _cmd_witt(args) -> tuple[dict | list[str], int]:
     limit = engine.guard_limit(witt.DEFAULT_MAX_DEGREE)
     family = witt.witt_family(args.p, args.jmax, max_degree=limit)
     polys = witt.witt_mod_p(family) if args.mod_p else list(family.polys)
-    ring_name = f"F_{args.p}" if args.mod_p else "Z"
     if args.json:
-        payload = {
+        return {
             "p": args.p,
             "jmax": args.jmax,
             "mod_p": bool(args.mod_p),
             "polys": [w.to_json_dict() for w in polys],
-        }
-        return _dumps(payload), 0
+        }, 0
+    ring_name = f"F_{args.p}" if args.mod_p else "Z"
     lines = [f"# witt p={args.p} jmax={args.jmax} ring={ring_name}"]
     lines += [f"w_{j} = {w.to_text()}" for j, w in enumerate(polys)]
-    return "\n".join(lines) + "\n", 0
+    return lines, 0
 
 
-def _cmd_compute(args) -> tuple[str, int]:
+def _cmd_compute(args) -> tuple[dict | list[str], int]:
     params = _params(args)
-    tower = engine.build_tower(params, args.level, max_y_cap=engine.guard_limit(engine.DEFAULT_MAX_Y_CAP))
-    f = tower[-1]
-    status = 0
+    f = _tower(params, args.level)[-1]
     report = engine.verify_degree_bound(f) if args.verify_degree_bound else None
-    if report is not None and not report.passed:
-        status = 1
+    status = 1 if report is not None and not report.passed else 0
     table = engine.coefficient_table(f) if args.coeff_table else None
     regrade = engine.vs_regrade(f) if args.regrade else None
 
@@ -135,7 +137,7 @@ def _cmd_compute(args) -> tuple[str, int]:
             payload["regrade"] = [
                 {"e": [i, j], "vs": e} for (i, j), e in sorted(regrade.items())
             ]
-        return _dumps(payload), status
+        return payload, status
 
     lines = [f"# fgl p={params.p} s={params.s} q={params.q} level={f.level} y_cap={f.y_cap}"]
     lines.append(f.poly.to_text())
@@ -149,7 +151,7 @@ def _cmd_compute(args) -> tuple[str, int]:
         lines.append("")
         lines.append("v_s exponents:")
         lines += [f"  x^{i}*y^{j}: {e}" for (i, j), e in sorted(regrade.items())]
-    return "\n".join(lines) + "\n", status
+    return lines, status
 
 
 def _degree_bound_json(report: engine.DegreeBoundReport) -> dict:
@@ -172,34 +174,31 @@ def _degree_bound_text(report: engine.DegreeBoundReport) -> str:
     return f"degree bound: FAIL ({bad})"
 
 
-def _cmd_pseries(args) -> tuple[str, int]:
+def _cmd_pseries(args) -> tuple[dict | list[str], int]:
     params = _params(args)
-    tower = engine.build_tower(params, args.level, max_y_cap=engine.guard_limit(engine.DEFAULT_MAX_Y_CAP))
-    series = engine.p_series(tower, args.k)
+    series = engine.p_series(_tower(params, args.level), args.k)
+    multiplier = params.p**args.k
     if args.json:
-        payload = {
+        return {
             "p": params.p,
             "s": params.s,
             "q": params.q,
             "level": args.level,
             "k": args.k,
-            "multiplier": params.p**args.k,
+            "multiplier": multiplier,
             "valid_below": series.valid_below,
             "poly": series.poly.to_json_dict(),
-        }
-        return _dumps(payload), 0
-    lines = [
+        }, 0
+    return [
         f"# pseries p={params.p} s={params.s} level={args.level} k={args.k} "
-        f"multiplier={params.p ** args.k} valid_below=x^{series.valid_below}",
-        f"[{params.p ** args.k}](x) = {series.poly.to_text()}",
-    ]
-    return "\n".join(lines) + "\n", 0
+        f"multiplier={multiplier} valid_below=x^{series.valid_below}",
+        f"[{multiplier}](x) = {series.poly.to_text()}",
+    ], 0
 
 
-def _cmd_oracle(args) -> tuple[str, int]:
+def _cmd_oracle(args) -> tuple[dict | list[str], int]:
     params = _params(args, allow_height_one=True)
     orc = oracle.oracle_fgl(params, args.degree)
-    status = 0
     checks: dict[str, bool] = {}
     if args.check_associativity:
         checks["associativity"] = oracle.check_associativity(orc).ok
@@ -208,8 +207,7 @@ def _cmd_oracle(args) -> tuple[str, int]:
         exponent = params.p**params.s
         want = {(exponent,): 1} if exponent < args.degree else {}
         checks["pseries"] = dict(got.terms) == want
-    if checks and not all(checks.values()):
-        status = 1
+    status = 0 if all(checks.values()) else 1
     if args.json:
         payload = {
             "p": params.p,
@@ -220,27 +218,26 @@ def _cmd_oracle(args) -> tuple[str, int]:
         }
         if checks:
             payload["checks"] = checks
-        return _dumps(payload), status
+        return payload, status
     lines = [
         f"# oracle p={params.p} s={params.s} degree={args.degree}",
         f"F mod p = {orc.poly_mod_p.to_text()}",
     ]
     for name, ok in checks.items():
         lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
-    return "\n".join(lines) + "\n", status
+    return lines, status
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[dict | list[str], int]:
     params = _params(args)
     degree = args.degree
     if degree is None:
         degree = oracle.default_compare_degree(params, args.level)
-    tower = engine.build_tower(params, args.level, max_y_cap=engine.guard_limit(engine.DEFAULT_MAX_Y_CAP))
-    orc = oracle.oracle_fgl(params, degree)
-    report = oracle.compare(tower[-1], orc)
+    tower = _tower(params, args.level)
+    report = oracle.compare(tower[-1], oracle.oracle_fgl(params, degree))
     status = 0 if report.ok else 1
     if args.json:
-        payload = {
+        return {
             "p": params.p,
             "s": params.s,
             "level": args.level,
@@ -250,13 +247,11 @@ def _cmd_verify(args) -> tuple[str, int]:
                 {"e": [i, j], "engine": str(ec), "oracle": str(oc)}
                 for i, j, ec, oc in report.mismatches
             ],
-        }
-        return _dumps(payload), status
-    header = f"# verify p={params.p} s={params.s} level={args.level} degree={degree}"
-    return header + "\n" + report.summary() + "\n", status
+        }, status
+    return [f"# verify p={params.p} s={params.s} level={args.level} degree={degree}", report.summary()], status
 
 
-def _cmd_chern(args) -> tuple[str, int]:
+def _cmd_chern(args) -> tuple[dict | list[str], int]:
     params = _params(args)
     rels = chern_mod.relation_set(
         params,
@@ -265,7 +260,7 @@ def _cmd_chern(args) -> tuple[str, int]:
         max_y_cap=engine.guard_limit(engine.DEFAULT_MAX_Y_CAP),
     )
     if args.json:
-        payload = {
+        return {
             "p": params.p,
             "s": params.s,
             "k": rels.k,
@@ -275,8 +270,7 @@ def _cmd_chern(args) -> tuple[str, int]:
             "relations": [
                 {"i": i, "poly": r.to_json_dict()} for i, r in enumerate(rels.relations, start=1)
             ],
-        }
-        return _dumps(payload), 0
+        }, 0
     lines = [
         f"# chern p={params.p} s={params.s} k={rels.k} m={rels.m} "
         f"level={rels.level} u_cap={rels.u_cap}"
@@ -284,7 +278,7 @@ def _cmd_chern(args) -> tuple[str, int]:
     lines += [
         f"relation_{i} = {r.to_text()}" for i, r in enumerate(rels.relations, start=1)
     ]
-    return "\n".join(lines) + "\n", 0
+    return lines, 0
 
 
 _COMMANDS = {
@@ -297,15 +291,11 @@ _COMMANDS = {
 }
 
 
-def _dumps(payload) -> str:
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text, status = _COMMANDS[args.command](args)
+        result, status = _COMMANDS[args.command](args)
     except ParameterError as exc:
         print(f"fgl: invalid parameters: {exc}", file=sys.stderr)
         return 2
@@ -315,11 +305,16 @@ def main(argv: list[str] | None = None) -> int:
     except FglError as exc:
         print(f"fgl: error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
+    text = (json.dumps(result, separators=(",", ":")) if args.json else "\n".join(result)) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return status
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"fgl: invalid parameters: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     return status
 
 

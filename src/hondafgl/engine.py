@@ -21,8 +21,9 @@ makes the neglected tail b_j^(q^(n+1-j)) vanish modulo y^(q^(n+1)); `extend`
 asserts this divisibility at run time rather than assuming it.
 
 Also here: coefficient extraction F = sum A_l(x) y^l, the degree-bound
-verifier (x-degree <= (pq)^m wherever the y-degree is < q^m), p-series by
-diagonal substitution, and reconstruction of v_s exponents from homogeneity.
+verifier (x-degree <= (pq)^m wherever the y-degree is < q^m), p-series
+([p] by p - 1 diagonal substitutions, [p^k] by k compositions), and
+reconstruction of v_s exponents from homogeneity.
 """
 
 from __future__ import annotations
@@ -217,23 +218,38 @@ class PSeries:
 
 
 def p_series(tower: Sequence[TruncatedFgl], k: int) -> PSeries:
-    """[p^k](x) by iterated diagonal substitution [m+1](x) = P_n([m](x), x).
+    """[p^k](x) from the top of the tower, by `law_p_series`.
 
     Substituting y = x is only faithful below x^(q^n), so the result carries
     its validity bound; callers must check it to detect a vacuous answer
     (e.g. [p](x) = x^(p^s) says nothing when p^s >= q^n).
     """
     params, n = _validate_tower(tower)
+    bound = params.q**n
+    return PSeries(params, k, law_p_series(tower[n - 1].poly, k, bound), bound)
+
+
+def law_p_series(law: SparsePoly, k: int, bound: int) -> SparsePoly:
+    """[p^k](x) of a law F(x, y) over F_p, modulo x^bound.
+
+    [p](x) takes p - 1 diagonal substitutions [m+1](x) = F([m](x), x), and
+    [p^k] is [p] composed with itself k times, so the cost grows with k, not
+    with p^k.  Both steps are exact modulo x^bound whenever F is known
+    exactly on the monomials x^i y^j with i + j < bound: every series
+    substituted has no constant term.
+    """
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
-    bound = params.q**n
     trunc = TruncationPolicy(caps={"x": bound})
-    top = tower[n - 1].poly
-    x = SparsePoly.variable(("x",), params.fp, "x")
+    x = SparsePoly.variable(("x",), law.domain, "x")
     series = x
-    for _ in range(params.p**k - 1):
-        series = top.substitute({"x": series, "y": x}, trunc)
-    return PSeries(params, k, series, bound)
+    if k:
+        times_p = x
+        for _ in range(law.domain.p - 1):
+            times_p = law.substitute({"x": times_p, "y": x}, trunc)
+        for _ in range(k):
+            series = times_p.substitute({"x": series}, trunc)
+    return series
 
 
 def vs_regrade(f: TruncatedFgl) -> dict[tuple[int, int], int]:

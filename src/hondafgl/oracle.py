@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import FglParams, TruncatedFgl
+from .engine import FglParams, TruncatedFgl, law_p_series
 from .errors import ParameterError, StructuralError
-from .ring import RATIONALS, SparsePoly, TruncationPolicy
+from .ring import RATIONALS, SparsePoly, TruncationPolicy, _grlex_key
 
 VARS = ("x", "y")
 
@@ -88,15 +88,8 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
 
 
 def oracle_p_series(oracle: OracleFgl, k: int = 1) -> SparsePoly:
-    """[p^k](x) from the oracle's mod-p law by diagonal iteration, mod x^degree."""
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
-    trunc = TruncationPolicy(caps={"x": oracle.degree})
-    x = SparsePoly.variable(("x",), oracle.params.fp, "x")
-    series = x
-    for _ in range(oracle.params.p**k - 1):
-        series = oracle.poly_mod_p.substitute({"x": series, "y": x}, trunc)
-    return series
+    """[p^k](x) from the oracle's mod-p law, mod x^degree."""
+    return law_p_series(oracle.poly_mod_p, k, oracle.degree)
 
 
 @dataclass(frozen=True)
@@ -135,7 +128,7 @@ def compare(engine_fgl: TruncatedFgl, oracle: OracleFgl) -> CompareReport:
     d = oracle.degree
     keys = set(engine_fgl.poly.terms) | set(oracle.poly_mod_p.terms)
     mismatches = []
-    for (i, j) in sorted(keys, key=lambda e: (sum(e), tuple(-v for v in e))):
+    for (i, j) in sorted(keys, key=_grlex_key):
         if i + j >= d or j >= y_cap:
             continue
         ec = engine_fgl.poly.coefficient((i, j))

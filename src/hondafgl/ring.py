@@ -68,10 +68,6 @@ class Domain:
         elif self.p is not None:
             raise StructuralError(f"domain {self.kind!r} takes no modulus")
 
-    @property
-    def is_prime_field(self) -> bool:
-        return self.kind == _FP
-
     def normalize(self, c) -> Coeff:
         """Bring a raw coefficient into canonical form for this domain."""
         if self.kind == _FP:
@@ -199,12 +195,8 @@ class SparsePoly:
         return cls(variables, domain, {})
 
     @classmethod
-    def constant(cls, variables: Sequence[str], domain: Domain, value) -> "SparsePoly":
-        return cls(variables, domain, {(0,) * len(tuple(variables)): value})
-
-    @classmethod
     def one(cls, variables: Sequence[str], domain: Domain) -> "SparsePoly":
-        return cls.constant(variables, domain, 1)
+        return cls(variables, domain, {(0,) * len(tuple(variables)): 1})
 
     @classmethod
     def variable(cls, variables: Sequence[str], domain: Domain, name: str) -> "SparsePoly":
@@ -232,20 +224,6 @@ class SparsePoly:
 
     def coefficient(self, exponent: Exponent) -> Coeff:
         return self.terms.get(tuple(exponent), self.domain.normalize(0))
-
-    def total_degree(self) -> int:
-        """Max total degree of a term; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, name: str) -> int:
-        i = self._index(name)
-        return max((e[i] for e in self.terms), default=-1)
-
-    def _index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise StructuralError(f"{name!r} is not one of {self.variables}") from None
 
     def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:
         """Terms in canonical graded-lex order."""
@@ -301,9 +279,6 @@ class SparsePoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return SparsePoly(self.variables, self.domain, out)
 
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        return self.mul(other)
-
     def pow(self, exponent: int, trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """Repeated squaring, truncating after every product."""
         if exponent < 0:
@@ -318,9 +293,6 @@ class SparsePoly:
             if e:
                 base = base.mul(base, trunc)
         return result
-
-    def __pow__(self, exponent: int) -> "SparsePoly":
-        return self.pow(exponent)
 
     def truncate(self, trunc: TruncationPolicy) -> "SparsePoly":
         if trunc.is_unbounded:
@@ -533,12 +505,3 @@ def elementary_symmetric_all(
             nxt.append(prev + sig[k - 1].mul(v, trunc))
         sig = nxt
     return sig
-
-
-def elementary_symmetric(
-    index: int, values: Sequence[SparsePoly], trunc: TruncationPolicy = NO_TRUNCATION
-) -> SparsePoly:
-    """sigma_index of the given polynomials, 1 <= index <= len(values)."""
-    if not 1 <= index <= len(values):
-        raise StructuralError(f"symmetric index {index} out of range 1..{len(values)}")
-    return elementary_symmetric_all(values, trunc)[index]

@@ -1,25 +1,10 @@
 
 import pytest
 
-from hondafgl.chern import (
-    TruncatedCoeffRing,
-    pk_nilpotence,
-    relation_set,
-    required_level,
-)
+from hondafgl.chern import pk_nilpotence, relation_set, required_level
 from hondafgl.engine import FglParams, build_tower
 from hondafgl.errors import ParameterError, ResourceLimitError, VacuityError
 from hondafgl.ring import SparsePoly, TruncationPolicy, prime_field
-
-
-def test_truncated_coeff_ring():
-    ring = TruncatedCoeffRing(2, 2, 1)
-    assert ring.u_cap == 4
-    assert TruncatedCoeffRing(3, 2, 2).u_cap == 81
-    with pytest.raises(ParameterError):
-        TruncatedCoeffRing(2, 2, 0)
-    with pytest.raises(ParameterError):
-        TruncatedCoeffRing(2, 1, 1)
 
 
 def test_required_level_examples():
@@ -28,6 +13,10 @@ def test_required_level_examples():
     assert required_level(FglParams(2, 3), 2) == 3  # 4^3 = 64 >= 2^6
     with pytest.raises(ParameterError):
         required_level(FglParams(2, 2), 0)
+    with pytest.raises(ParameterError):
+        required_level(FglParams(2, 1, allow_height_one=True), 1)
+    with pytest.raises(ParameterError):
+        relation_set(FglParams(2, 2), 0)
 
 
 def test_required_level_is_minimal():
@@ -92,6 +81,7 @@ def test_relations_vanish_at_u_zero():
 def test_relations_respect_u_cap():
     for p, s, k in [(2, 2, 1), (2, 2, 2), (3, 2, 1)]:
         rels = relation_set(FglParams(p, s), k)
+        assert rels.u_cap == p ** (k * s)
         u_index = rels.variables.index("u")
         assert all(e[u_index] < rels.u_cap for r in rels.relations for e in r.terms)
 

@@ -154,6 +154,18 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == "# fgl p=2 s=2 q=2 level=2 y_cap=4\nx + y + x^2*y^2\n"
 
 
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    # a directory, and a file under a missing directory
+    for target in (tmp_path, tmp_path / "missing" / "out.txt"):
+        status, out, err = run_cli(
+            capsys, "compute", "--p", "2", "--s", "2", "--level", "2", "--out", str(target)
+        )
+        assert status == 2
+        assert not out
+        assert err.startswith(f"fgl: invalid parameters: cannot write --out {target}")
+        assert len(err.splitlines()) == 1
+
+
 def test_unknown_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--p", "2"])

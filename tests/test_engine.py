@@ -20,7 +20,8 @@ from hondafgl.errors import (
     ResourceLimitError,
     StructuralError,
 )
-from hondafgl.ring import SparsePoly, prime_field
+from hondafgl.oracle import oracle_fgl, oracle_p_series
+from hondafgl.ring import SparsePoly, TruncationPolicy, prime_field
 from hondafgl.witt import witt_family, witt_mod_p
 
 XY = ("x", "y")
@@ -246,6 +247,8 @@ def test_p_series_p2_s2():
     series = p_series(tower, 1)
     assert series.valid_below == 8
     assert series.poly.terms == {(4,): 1}
+    # [2^24](x) by 24 compositions; 2^24 - 1 diagonal substitutions would not finish
+    assert not p_series(tower, 24).poly
 
 
 def test_p_series_vacuous_at_boundary():
@@ -262,6 +265,31 @@ def test_p_series_p3_s2_level3():
     series = p_series(tower, 1)
     assert series.valid_below == 27
     assert series.poly.terms == {(9,): 1}
+
+
+def diagonal_p_series(law, multiplier, bound):
+    """[multiplier](x) by its definition: multiplier - 1 diagonal substitutions."""
+    trunc = TruncationPolicy(caps={"x": bound})
+    x = SparsePoly.variable(("x",), law.domain, "x")
+    series = x
+    for _ in range(multiplier - 1):
+        series = law.substitute({"x": series, "y": x}, trunc)
+    return series
+
+
+@pytest.mark.parametrize("p,s,level", [(2, 2, 5), (3, 2, 4), (2, 3, 3)])
+def test_p_series_composition_equals_diagonal_loop(p, s, level):
+    tower = build_tower(FglParams(p, s), level)
+    for k in range(4):
+        series = p_series(tower, k)
+        assert series.poly == diagonal_p_series(tower[-1].poly, p**k, series.valid_below)
+
+
+@pytest.mark.parametrize("p,s,degree", [(2, 2, 17), (3, 2, 12)])
+def test_oracle_p_series_composition_equals_diagonal_loop(p, s, degree):
+    orc = oracle_fgl(FglParams(p, s), degree)
+    for k in range(4):
+        assert oracle_p_series(orc, k) == diagonal_p_series(orc.poly_mod_p, p**k, degree)
 
 
 def test_p_series_rejects_negative_k():

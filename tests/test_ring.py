@@ -11,7 +11,6 @@ from hondafgl.ring import (
     Domain,
     SparsePoly,
     TruncationPolicy,
-    elementary_symmetric,
     elementary_symmetric_all,
     prime_field,
 )
@@ -283,8 +282,8 @@ def test_substitute_domain_mismatch():
 def test_sigma_basics():
     vs = ("x1", "x2", "x3")
     x1, x2, x3 = (SparsePoly.variable(vs, INTEGERS, v) for v in vs)
-    assert elementary_symmetric(1, [x1, x2]) == x1 + x2
-    assert elementary_symmetric(2, [x1, x2, x3]) == (
+    assert elementary_symmetric_all([x1, x2])[1] == x1 + x2
+    assert elementary_symmetric_all([x1, x2, x3])[2] == (
         x1.mul(x2) + x1.mul(x3) + x2.mul(x3)
     )
 
@@ -292,15 +291,7 @@ def test_sigma_basics():
 def test_sigma_all_equal_degenerate():
     v = SparsePoly.variable(("v",), INTEGERS, "v")
     m = 4
-    assert elementary_symmetric(m, [v] * m) == v.pow(m)
-
-
-def test_sigma_index_out_of_range():
-    v = SparsePoly.variable(("v",), INTEGERS, "v")
-    with pytest.raises(StructuralError):
-        elementary_symmetric(0, [v])
-    with pytest.raises(StructuralError):
-        elementary_symmetric(2, [v])
+    assert elementary_symmetric_all([v] * m)[m] == v.pow(m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
