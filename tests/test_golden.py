@@ -1,9 +1,13 @@
 """Byte-for-byte checks of `fgl` stdout against frozen golden files.
 
-Each file under tests/golden/ is the stdout of `python -m hondafgl <argv>`
-at commit b26005e, before the CLI and the p-series were rewritten.  A
-change to any of these outputs is a change of behaviour, not a refactor:
-the files are not to be regenerated to make this test pass.
+Each file under tests/golden/ is the stdout of `python -m hondafgl <argv>`:
+the first 17 entries were frozen at commit b26005e, before the CLI and the
+p-series were rewritten, and the rest at commit c37dfb6, before the resource
+guards were merged into one.  The rest are the determinism commands of
+test_acceptance.py and towers deep enough to pin the ladder fold at ladder
+index j up to 3.  A change to any of these outputs is a change of
+behaviour, not a refactor: the files are not to be regenerated to make this
+test pass.
 """
 
 from pathlib import Path
@@ -32,6 +36,18 @@ GOLDEN = {
     "verify-p3-s2-l2-d19.json": "verify --p 3 --s 2 --level 2 --degree 19 --json",
     "chern-p2-s2-k1.txt": "chern --p 2 --s 2 --k 1",
     "chern-p3-s2-k1.json": "chern --p 3 --s 2 --k 1 --json",
+    # frozen at c37dfb6
+    "witt-p2-j4.json": "witt --p 2 --jmax 4 --json",
+    "compute-p2-s2-l4-all.json": "compute --p 2 --s 2 --level 4 --json --coeff-table --verify-degree-bound --regrade",
+    "verify-p3-s2-l2-d19.txt": "verify --p 3 --s 2 --level 2 --degree 19",
+    "pseries-p2-s2-l3-k1.txt": "pseries --p 2 --s 2 --level 3 --k 1",
+    "oracle-p3-s2-d10-checks.json": "oracle --p 3 --s 2 --degree 10 --check-associativity --check-pseries --json",
+    "chern-p2-s2-k1.json": "chern --p 2 --s 2 --k 1 --json",
+    "compute-p2-s2-l6-table-regrade.txt": "compute --p 2 --s 2 --level 6 --coeff-table --regrade",
+    "compute-p3-s2-l4-bound.json": "compute --p 3 --s 2 --level 4 --verify-degree-bound --json",
+    "compute-p2-s4-l4.txt": "compute --p 2 --s 4 --level 4",
+    "pseries-p3-s2-l4-k1.json": "pseries --p 3 --s 2 --level 4 --k 1 --json",
+    "chern-p2-s2-k2.txt": "chern --p 2 --s 2 --k 2",
 }
 
 
