@@ -62,52 +62,3 @@ from .ring import (
 from .witt import WittFamily, w1_closed_form, witt_family, witt_mod_p
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChernRelationSet",
-    "NilpotenceCertificate",
-    "pk_nilpotence",
-    "relation_set",
-    "required_level",
-    "DegreeBoundReport",
-    "FglParams",
-    "PSeries",
-    "TruncatedFgl",
-    "build_tower",
-    "coefficient_table",
-    "extend",
-    "initial_fgl",
-    "p_series",
-    "verify_degree_bound",
-    "vs_regrade",
-    "FglError",
-    "GradingError",
-    "IntegralityError",
-    "InternalConsistencyError",
-    "ParameterError",
-    "ResourceLimitError",
-    "StructuralError",
-    "VacuityError",
-    "AssociativityReport",
-    "CompareReport",
-    "OracleFgl",
-    "check_associativity",
-    "compare",
-    "default_compare_degree",
-    "honda_log",
-    "oracle_fgl",
-    "oracle_p_series",
-    "revert_series",
-    "INTEGERS",
-    "NO_TRUNCATION",
-    "RATIONALS",
-    "Domain",
-    "SparsePoly",
-    "TruncationPolicy",
-    "elementary_symmetric_all",
-    "prime_field",
-    "WittFamily",
-    "w1_closed_form",
-    "witt_family",
-    "witt_mod_p",
-]

@@ -19,15 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import (
-    DEFAULT_MAX_Y_CAP,
-    FglParams,
-    TruncatedFgl,
-    _require_recursion_height,
-    build_tower,
-    p_series,
-)
-from .errors import ParameterError, ResourceLimitError, VacuityError
+from .engine import FglParams, TruncatedFgl, _require_recursion_height, build_tower, p_series
+from .errors import ParameterError, VacuityError, guard
 from .ring import SparsePoly, TruncationPolicy, elementary_symmetric_all
 
 DEFAULT_MAX_TERMS = 10**7
@@ -95,25 +88,16 @@ class ChernRelationSet:
     relations: tuple[SparsePoly, ...]
 
 
-def relation_set(
-    params: FglParams,
-    k: int,
-    max_terms: int = DEFAULT_MAX_TERMS,
-    max_y_cap: int = DEFAULT_MAX_Y_CAP,
-) -> ChernRelationSet:
-    """Generate all m relations in the variables (x_1, .., x_m, u)."""
+def relation_set(params: FglParams, k: int) -> ChernRelationSet:
+    """Generate all m relations in the variables (x_1, .., x_m, u).
+
+    The resource guard refuses m * |P_n| terms beyond DEFAULT_MAX_TERMS.
+    """
     n = required_level(params, k)
     m = params.p**k
     u_cap = params.p ** (k * params.s)
-    tower = build_tower(params, n, max_y_cap=max_y_cap)
-    top = tower[-1].poly
-    projected = m * len(top.terms)
-    if projected > max_terms:
-        raise ResourceLimitError(
-            f"projected {projected} terms across {m} tensor-shifted roots "
-            f"exceeds the guard {max_terms}",
-            projected=projected,
-        )
+    top = build_tower(params, n)[-1].poly
+    guard(m * len(top.terms), DEFAULT_MAX_TERMS, f"the term count m*|P_n| over {m} tensor-shifted roots")
     variables = tuple(f"x{j}" for j in range(1, m + 1)) + ("u",)
     trunc = TruncationPolicy(caps={"u": u_cap})
     fp = params.fp

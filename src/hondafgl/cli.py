@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 a verification subcommand found a mismatch or
 violation (the report still goes to standard output), 2 invalid parameters,
-3 a resource guard refused the computation.  Output is deterministic for a
-given invocation; FGL_MAX_TERMS in the environment overrides the guards.
+3 the resource guard refused the computation.  Output is deterministic for a
+given invocation.  The guard lives in the library and reads FGL_MAX_TERMS
+from the environment at each check; a tower deeper than the y-cap allows is
+refused before any level is built.
 Each subcommand returns its exit status with a JSON payload under --json or
 text lines otherwise; `main` alone renders the result and writes it.
 """
@@ -85,17 +87,8 @@ def _add_params(p: argparse.ArgumentParser):
     p.add_argument("--s", type=int, required=True, help="height (s > 1 except for oracle)")
 
 
-def _params(args, allow_height_one: bool = False) -> engine.FglParams:
-    return engine.FglParams(args.p, args.s, allow_height_one=allow_height_one)
-
-
-def _tower(params: engine.FglParams, level: int) -> list[engine.TruncatedFgl]:
-    return engine.build_tower(params, level, max_y_cap=engine.guard_limit(engine.DEFAULT_MAX_Y_CAP))
-
-
 def _cmd_witt(args) -> tuple[dict | list[str], int]:
-    limit = engine.guard_limit(witt.DEFAULT_MAX_DEGREE)
-    family = witt.witt_family(args.p, args.jmax, max_degree=limit)
+    family = witt.witt_family(args.p, args.jmax)
     polys = witt.witt_mod_p(family) if args.mod_p else list(family.polys)
     if args.json:
         return {
@@ -111,8 +104,8 @@ def _cmd_witt(args) -> tuple[dict | list[str], int]:
 
 
 def _cmd_compute(args) -> tuple[dict | list[str], int]:
-    params = _params(args)
-    f = _tower(params, args.level)[-1]
+    params = engine.FglParams(args.p, args.s)
+    f = engine.build_tower(params, args.level)[-1]
     report = engine.verify_degree_bound(f) if args.verify_degree_bound else None
     status = 1 if report is not None and not report.passed else 0
     table = engine.coefficient_table(f) if args.coeff_table else None
@@ -175,8 +168,8 @@ def _degree_bound_text(report: engine.DegreeBoundReport) -> str:
 
 
 def _cmd_pseries(args) -> tuple[dict | list[str], int]:
-    params = _params(args)
-    series = engine.p_series(_tower(params, args.level), args.k)
+    params = engine.FglParams(args.p, args.s)
+    series = engine.p_series(engine.build_tower(params, args.level), args.k)
     multiplier = params.p**args.k
     if args.json:
         return {
@@ -197,7 +190,7 @@ def _cmd_pseries(args) -> tuple[dict | list[str], int]:
 
 
 def _cmd_oracle(args) -> tuple[dict | list[str], int]:
-    params = _params(args, allow_height_one=True)
+    params = engine.FglParams(args.p, args.s)
     orc = oracle.oracle_fgl(params, args.degree)
     checks: dict[str, bool] = {}
     if args.check_associativity:
@@ -229,11 +222,11 @@ def _cmd_oracle(args) -> tuple[dict | list[str], int]:
 
 
 def _cmd_verify(args) -> tuple[dict | list[str], int]:
-    params = _params(args)
+    params = engine.FglParams(args.p, args.s)
+    tower = engine.build_tower(params, args.level)
     degree = args.degree
     if degree is None:
         degree = oracle.default_compare_degree(params, args.level)
-    tower = _tower(params, args.level)
     report = oracle.compare(tower[-1], oracle.oracle_fgl(params, degree))
     status = 0 if report.ok else 1
     if args.json:
@@ -252,13 +245,8 @@ def _cmd_verify(args) -> tuple[dict | list[str], int]:
 
 
 def _cmd_chern(args) -> tuple[dict | list[str], int]:
-    params = _params(args)
-    rels = chern_mod.relation_set(
-        params,
-        args.k,
-        max_terms=engine.guard_limit(chern_mod.DEFAULT_MAX_TERMS),
-        max_y_cap=engine.guard_limit(engine.DEFAULT_MAX_Y_CAP),
-    )
+    params = engine.FglParams(args.p, args.s)
+    rels = chern_mod.relation_set(params, args.k)
     if args.json:
         return {
             "p": params.p,

@@ -11,14 +11,18 @@ where the many-argument F is the iterated formal sum.  Working modulo
 y^(q^(n+1)), the tail of that expression collapses through already-known
 levels:
 
-    t   = P_n(x + y, b_1)          with b_j = (w_j mod p)^(q^j),
-    t   = P_{n+1-j}(t, b_j)        for j = 2 .. n-1,
+    t   = x + y,
+    t   = P_{n+1-j}(t, b_j)        for j = 1 .. n-1, with b_j = (w_j mod p)^(q^j),
     P_{n+1} = t + b_n,
 
 every product truncated at y-exponent < q^(n+1).  Each collapse step is only
 valid because the substituted second slot b_j is divisible by y^(q^j), which
 makes the neglected tail b_j^(q^(n+1-j)) vanish modulo y^(q^(n+1)); `extend`
 asserts this divisibility at run time rather than assuming it.
+
+The y-cap q^n is the engine's resource guard: `build_tower` refuses a tower
+whose top y-cap is past the limit before it builds any level, and `extend`
+checks each level it adds (see `errors.guard`).
 
 Also here: coefficient extraction F = sum A_l(x) y^l, the degree-bound
 verifier (x-degree <= (pq)^m wherever the y-degree is < q^m), p-series
@@ -28,16 +32,15 @@ reconstruction of v_s exponents from homogeneity.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import (
     GradingError,
     InternalConsistencyError,
     ParameterError,
-    ResourceLimitError,
     StructuralError,
+    guard,
 )
 from .ring import SparsePoly, TruncationPolicy, _is_prime, prime_field
 from .witt import witt_family, witt_mod_p
@@ -46,42 +49,24 @@ VARS = ("x", "y")
 
 DEFAULT_MAX_Y_CAP = 10**4
 
-MAX_TERMS_ENV = "FGL_MAX_TERMS"
-
-
-def guard_limit(default: int) -> int:
-    """Resource-guard bound, overridable through the FGL_MAX_TERMS variable."""
-    raw = os.environ.get(MAX_TERMS_ENV)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}") from None
-
 
 @dataclass(frozen=True)
 class FglParams:
     """Prime p and height s; q = p^(s-1) is always derived, never stored.
 
-    The truncation recursion needs s > 1 (q = 1 at s = 1 makes "modulo y^q"
-    say nothing), so the constructor rejects s = 1 unless `allow_height_one`
-    is set; only the rational-logarithm oracle opts in to that.
+    s = 1 is accepted, for the rational-logarithm oracle; the truncation
+    recursion needs s > 1 (q = 1 at s = 1 makes "modulo y^q" say nothing)
+    and refuses it where it starts.
     """
 
     p: int
     s: int
-    allow_height_one: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ParameterError(f"p must be prime, got {self.p!r}")
         if not isinstance(self.s, int) or self.s < 1:
             raise ParameterError(f"s must be a positive integer, got {self.s!r}")
-        if self.s == 1 and not self.allow_height_one:
-            raise ParameterError(
-                "s = 1 is not supported here: the truncation recursion requires s > 1"
-            )
 
     @property
     def q(self) -> int:
@@ -112,19 +97,13 @@ def initial_fgl(params: FglParams) -> TruncatedFgl:
     return TruncatedFgl(params, 1, poly)
 
 
-def extend(tower: Sequence[TruncatedFgl], max_y_cap: int = DEFAULT_MAX_Y_CAP) -> TruncatedFgl:
+def extend(tower: Sequence[TruncatedFgl]) -> TruncatedFgl:
     """Compute P_{n+1} from the tower P_1 .. P_n by the collapse ladder."""
     params, n = _validate_tower(tower)
     q = params.q
     new_cap = q ** (n + 1)
-    if new_cap > max_y_cap:
-        raise ResourceLimitError(
-            f"extension to level {n + 1} needs y-exponents up to {new_cap}, "
-            f"beyond the cap {max_y_cap}",
-            projected=new_cap,
-        )
+    guard(new_cap, DEFAULT_MAX_Y_CAP, f"the y-cap of level {n + 1}")
     trunc = TruncationPolicy(caps={"y": new_cap})
-    fp = params.fp
     wbar = witt_mod_p(witt_family(params.p, n))
 
     b: dict[int, SparsePoly] = {}
@@ -139,24 +118,27 @@ def extend(tower: Sequence[TruncatedFgl], max_y_cap: int = DEFAULT_MAX_Y_CAP) ->
             )
         b[j] = bj
 
-    x_plus_y = SparsePoly(VARS, fp, {(1, 0): 1, (0, 1): 1})
-    if n == 1:
-        result = (x_plus_y + b[1]).truncate(trunc)
-    else:
-        t = tower[n - 1].poly.substitute({"x": x_plus_y, "y": b[1]}, trunc)
-        for j in range(2, n):
-            t = tower[n - j].poly.substitute({"x": t, "y": b[j]}, trunc)
-        result = (t + b[n]).truncate(trunc)
-    return TruncatedFgl(params, n + 1, result)
+    t = SparsePoly(VARS, params.fp, {(1, 0): 1, (0, 1): 1})
+    for j in range(1, n):
+        t = tower[n - j].poly.substitute({"x": t, "y": b[j]}, trunc)
+    return TruncatedFgl(params, n + 1, (t + b[n]).truncate(trunc))
 
 
-def build_tower(params: FglParams, level: int, max_y_cap: int = DEFAULT_MAX_Y_CAP) -> list[TruncatedFgl]:
-    """The tower P_1 .. P_level, each level computed once from the ones below."""
+def build_tower(params: FglParams, level: int) -> list[TruncatedFgl]:
+    """The tower P_1 .. P_level, each level computed once from the ones below.
+
+    The y-cap guard of every level `extend` would build is checked before any
+    is built.  The y-cap grows with the level, so this stops at the first
+    level past the limit, however deep the tower asked for; level 1 extends
+    nothing, so its projection is 0 and only the limit is parsed.
+    """
     if level < 1:
         raise ParameterError(f"level must be >= 1, got {level}")
     tower = [initial_fgl(params)]
+    for m in range(1, level + 1):
+        guard(params.q**m if m > 1 else 0, DEFAULT_MAX_Y_CAP, f"the y-cap of level {m}")
     while len(tower) < level:
-        tower.append(extend(tower, max_y_cap=max_y_cap))
+        tower.append(extend(tower))
     return tower
 
 
@@ -273,7 +255,7 @@ def vs_regrade(f: TruncatedFgl) -> dict[tuple[int, int], int]:
 
 def _require_recursion_height(params: FglParams):
     if params.s < 2:
-        raise ParameterError("the truncation recursion requires s > 1")
+        raise ParameterError("s = 1 is not supported here: the truncation recursion requires s > 1")
 
 
 def _validate_tower(tower: Sequence[TruncatedFgl]) -> tuple[FglParams, int]:

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all hondafgl modules."""
+"""Exception hierarchy shared by all hondafgl modules, and the resource guard."""
+
+import os
+
+MAX_TERMS_ENV = "FGL_MAX_TERMS"
 
 
 class FglError(Exception):
@@ -39,9 +43,26 @@ class VacuityError(FglError):
 
 
 class ResourceLimitError(FglError):
-    """A configurable size guard tripped before a computation that would
-    exceed desk scale.  `projected` carries the projected cost."""
+    """The resource guard tripped before a computation that would exceed
+    desk scale.  `projected` carries the projected cost."""
 
     def __init__(self, message: str, projected: int | None = None):
         super().__init__(message)
         self.projected = projected
+
+
+def guard(projected: int, default: int, what: str) -> None:
+    """Refuse work whose projected size exceeds the limit.
+
+    The limit is `default` unless the FGL_MAX_TERMS environment variable is
+    set; it is read at every call, and a value that is not an integer is a
+    ParameterError.  A projection of 0, nothing to build, passes any limit.
+    `what` names the projected quantity in the message.
+    """
+    raw = os.environ.get(MAX_TERMS_ENV)
+    try:
+        limit = default if raw is None else int(raw)
+    except ValueError:
+        raise ParameterError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}") from None
+    if projected and projected > limit:
+        raise ResourceLimitError(f"{what} is {projected}, beyond the limit {limit}", projected=projected)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InternalConsistencyError, ParameterError, ResourceLimitError
+from .errors import InternalConsistencyError, ParameterError, guard
 from .ring import INTEGERS, SparsePoly, _is_prime, prime_field
 
 VARS = ("x", "y")
@@ -56,21 +56,18 @@ class WittFamily:
                 raise InternalConsistencyError(f"Witt identity fails at p={self.p}, n={n}")
 
 
-def witt_family(p: int, jmax: int, max_degree: int = DEFAULT_MAX_DEGREE) -> WittFamily:
+def witt_family(p: int, jmax: int) -> WittFamily:
     """Solve the defining identity for w_0 .. w_jmax over the integers.
 
     w_n = (x^(p^n) + y^(p^n) - sum_{j<n} p^j w_j^(p^(n-j))) / p^n, with the
-    division certified exact.  Refuses jmax with p^jmax beyond `max_degree`.
+    division certified exact.  The resource guard refuses p^jmax beyond
+    DEFAULT_MAX_DEGREE.
     """
     if not _is_prime(p):
         raise ParameterError(f"p must be prime, got {p}")
     if jmax < 0:
         raise ParameterError(f"jmax must be >= 0, got {jmax}")
-    if p**jmax > max_degree:
-        raise ResourceLimitError(
-            f"p^jmax = {p**jmax} exceeds the degree guard {max_degree}",
-            projected=p**jmax,
-        )
+    guard(p**jmax, DEFAULT_MAX_DEGREE, f"the degree p^jmax of w_{jmax}")
     polys = [SparsePoly(VARS, INTEGERS, {(1, 0): 1, (0, 1): 1})]
     for n in range(1, jmax + 1):
         residual = _power_sum(p, n)

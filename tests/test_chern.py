@@ -14,7 +14,7 @@ def test_required_level_examples():
     with pytest.raises(ParameterError):
         required_level(FglParams(2, 2), 0)
     with pytest.raises(ParameterError):
-        required_level(FglParams(2, 1, allow_height_one=True), 1)
+        required_level(FglParams(2, 1), 1)
     with pytest.raises(ParameterError):
         relation_set(FglParams(2, 2), 0)
 
@@ -126,8 +126,9 @@ def test_top_relation_equals_product_path():
         assert rels.relations[-1] == prod_shifted - prod_roots
 
 
-def test_relation_set_size_guard():
+def test_relation_set_size_guard(monkeypatch):
+    # the y-cap 4 of level 2 passes; m * |P_2| = 2 * 3 trips
+    monkeypatch.setenv("FGL_MAX_TERMS", "5")
     with pytest.raises(ResourceLimitError) as exc:
-        relation_set(FglParams(2, 2), 1, max_terms=3)
-    assert exc.value.projected is not None
-    assert exc.value.projected > 3
+        relation_set(FglParams(2, 2), 1)
+    assert exc.value.projected == 6

@@ -136,12 +136,68 @@ def test_env_override_tightens_guard(capsys, monkeypatch):
     status, _, err = run_cli(capsys, "compute", "--p", "2", "--s", "2", "--level", "3")
     assert status == 3
     assert "8" in err  # the projected y-cap
+    # a level-1 tower extends nothing, so no limit refuses it
+    for limit in ("1", "0", "-1"):
+        monkeypatch.setenv("FGL_MAX_TERMS", limit)
+        status, _, _ = run_cli(capsys, "compute", "--p", "2", "--s", "2", "--level", "1")
+        assert status == 0
 
 
 def test_env_override_witt_guard(capsys, monkeypatch):
     monkeypatch.setenv("FGL_MAX_TERMS", "8")
     status, _, _ = run_cli(capsys, "witt", "--p", "2", "--jmax", "4")
     assert status == 3
+
+
+@pytest.mark.parametrize(
+    "env,argv,projected,limit",
+    [
+        (None, "compute --p 5 --s 3 --level 3", 25**3, 10**4),  # the y-cap
+        (None, "witt --p 2 --jmax 21", 2**21, 10**6),  # the Witt degree
+        ("5", "chern --p 2 --s 2 --k 1", 2 * 3, 5),  # y-cap 4 passes, m * |P_2| trips
+    ],
+)
+def test_each_guard_site_refuses(capsys, monkeypatch, env, argv, projected, limit):
+    if env is not None:
+        monkeypatch.setenv("FGL_MAX_TERMS", env)
+    status, out, err = run_cli(capsys, *argv.split())
+    assert status == 3
+    assert not out
+    assert len(err.splitlines()) == 1
+    assert err.startswith("fgl: resource guard: ")
+    assert f" {projected}, beyond the limit {limit}\n" in err
+
+
+def test_deep_tower_refused_before_any_level_is_built(capsys, monkeypatch):
+    import hondafgl.engine as eng
+
+    def no_extend(tower):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(eng, "extend", no_extend)
+    status, out, err = run_cli(capsys, "compute", "--p", "5", "--s", "2", "--level", "9")
+    assert status == 3
+    assert not out
+    assert "y-cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        ("compute --p 2 --s 2 --level 1", 2),
+        ("compute --p 2 --s 2 --level 2", 2),
+        ("witt --p 2 --jmax 2", 2),
+        ("chern --p 2 --s 2 --k 1", 2),
+        ("oracle --p 2 --s 2 --degree 5", 0),  # the oracle has no guard
+    ],
+)
+def test_malformed_override(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("FGL_MAX_TERMS", "abc")
+    status, out, err = run_cli(capsys, *argv.split())
+    assert status == expected
+    if expected:
+        assert not out
+        assert err == "fgl: invalid parameters: FGL_MAX_TERMS must be an integer, got 'abc'\n"
 
 
 def test_out_file(tmp_path, capsys):

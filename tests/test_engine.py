@@ -44,20 +44,16 @@ def test_params_validation():
         FglParams(4, 2)
     with pytest.raises(ParameterError):
         FglParams(2, 0)
-    with pytest.raises(ParameterError):
-        FglParams(2, 1)
-    # the oracle's explicit opt-in
-    assert FglParams(2, 1, allow_height_one=True).q == 1
+    # accepted for the oracle; the recursion refuses it
+    assert FglParams(2, 1).q == 1
 
 
 def test_height_one_params_cannot_enter_recursion():
-    params = FglParams(2, 1, allow_height_one=True)
+    params = FglParams(2, 1)
     with pytest.raises(ParameterError):
         initial_fgl(params)
-
-
-def test_params_equality_ignores_opt_in_flag():
-    assert FglParams(2, 2) == FglParams(2, 2, allow_height_one=True)
+    with pytest.raises(ParameterError):
+        build_tower(params, 3)
 
 
 # ---- base cases ---------------------------------------------------------------
@@ -151,7 +147,7 @@ def test_extend_memory_guard():
     params = FglParams(5, 3)  # q = 25: level 3 needs y-exponents up to 25^3
     tower = build_tower(params, 2)
     with pytest.raises(ResourceLimitError) as exc:
-        extend(tower, max_y_cap=10**4)
+        extend(tower)
     assert exc.value.projected == 25**3
 
 

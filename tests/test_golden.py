@@ -56,8 +56,7 @@ def test_every_golden_file_is_listed():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_stdout_matches_golden(name, capsys, monkeypatch):
-    monkeypatch.delenv("FGL_MAX_TERMS", raising=False)
+def test_stdout_matches_golden(name, capsys):
     status = main(GOLDEN[name].split())
     captured = capsys.readouterr()
     assert status == 0, captured.err

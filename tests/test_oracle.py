@@ -138,7 +138,7 @@ def test_oracle_associativity_small(p, s, degree):
 
 
 def test_height_one_exploration():
-    params = FglParams(2, 1, allow_height_one=True)
+    params = FglParams(2, 1)
     orc = oracle_fgl(params, 6)
     assert oracle_p_series(orc, 1).terms == {(2,): 1}
 

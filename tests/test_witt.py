@@ -109,11 +109,12 @@ def test_parameter_validation():
         witt_family(2, -1)
 
 
-def test_degree_guard():
+def test_degree_guard(monkeypatch):
     with pytest.raises(ResourceLimitError):
         witt_family(2, 21)  # 2^21 > 10^6
     # configurable
-    fam = witt_family(2, 3, max_degree=8)
+    monkeypatch.setenv("FGL_MAX_TERMS", "8")
+    fam = witt_family(2, 3)
     assert fam.jmax == 3
     with pytest.raises(ResourceLimitError):
-        witt_family(2, 4, max_degree=8)
+        witt_family(2, 4)
