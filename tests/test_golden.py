@@ -2,19 +2,26 @@
 
 Each file under tests/golden/ is the stdout of `python -m hondafgl <argv>`:
 the first 17 entries were frozen at commit b26005e, before the CLI and the
-p-series were rewritten, and the rest at commit c37dfb6, before the resource
-guards were merged into one.  The rest are the determinism commands of
-test_acceptance.py and towers deep enough to pin the ladder fold at ladder
-index j up to 3.  A change to any of these outputs is a change of
-behaviour, not a refactor: the files are not to be regenerated to make this
-test pass.
+p-series were rewritten, the next 11 at commit c37dfb6, before the resource
+guards were merged into one, and the rest at commit 32d8eea, before each
+subcommand returned one payload for both output forms.  The c37dfb6 entries
+are the determinism commands of test_acceptance.py and towers deep enough to
+pin the ladder fold at ladder index j up to 3.  The 32d8eea entries add the
+forms no golden held yet and, in FAILING, the reports of a failed check:
+each reaches its exit-1 branch through one module attribute the CLI calls,
+patched to return the real report with one mismatch added.  A change to any
+of these outputs is a change of behaviour, not a refactor: the files are not
+to be regenerated to make this test pass.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from hondafgl import engine, oracle
 from hondafgl.cli import main
+from hondafgl.ring import SparsePoly
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -48,17 +55,87 @@ GOLDEN = {
     "compute-p2-s4-l4.txt": "compute --p 2 --s 4 --level 4",
     "pseries-p3-s2-l4-k1.json": "pseries --p 3 --s 2 --level 4 --k 1 --json",
     "chern-p2-s2-k2.txt": "chern --p 2 --s 2 --k 2",
+    # frozen at 32d8eea
+    "witt-p2-j3-modp.json": "witt --p 2 --jmax 3 --mod-p --json",
+    "oracle-p2-s2-d17.txt": "oracle --p 2 --s 2 --degree 17",
+    "oracle-p2-s2-d17.json": "oracle --p 2 --s 2 --degree 17 --json",
+    "compute-p2-s2-l2.json": "compute --p 2 --s 2 --level 2 --json",
+}
+
+# frozen at 32d8eea; these exit 1: (argv, module, attribute, report field, value)
+FAILING = {
+    "compute-p2-s2-l2-bound-fail.txt": (
+        "compute --p 2 --s 2 --level 2 --verify-degree-bound",
+        engine, "verify_degree_bound", "violations", ((99, 0, 1),),
+    ),
+    "compute-p2-s2-l2-bound-fail.json": (
+        "compute --p 2 --s 2 --level 2 --verify-degree-bound --json",
+        engine, "verify_degree_bound", "violations", ((99, 0, 1),),
+    ),
+    "verify-p2-s2-l2-mismatch.txt": (
+        "verify --p 2 --s 2 --level 2",
+        oracle, "compare", "mismatches", ((1, 1, 1, 0),),
+    ),
+    "verify-p2-s2-l2-mismatch.json": (
+        "verify --p 2 --s 2 --level 2 --json",
+        oracle, "compare", "mismatches", ((1, 1, 1, 0),),
+    ),
+    "oracle-p2-s2-d6-assoc-fail.txt": (
+        "oracle --p 2 --s 2 --degree 6 --check-associativity --check-pseries",
+        oracle, "check_associativity", "mismatches", ((1, 1, 1),),
+    ),
 }
 
 
+def run_golden(name, monkeypatch, capsys):
+    """Exit status, stdout and stderr of the command golden file `name` holds."""
+    if name in FAILING:
+        argv, module, attr, field, value = FAILING[name]
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a: replace(real(*a), **{field: value}))
+    else:
+        argv = GOLDEN[name]
+    status = main(argv.split())
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
 def test_every_golden_file_is_listed():
-    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(GOLDEN)
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted([*GOLDEN, *FAILING])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_stdout_matches_golden(name, capsys):
-    status = main(GOLDEN[name].split())
+def test_stdout_matches_golden(name, capsys, monkeypatch):
+    status, out, err = run_golden(name, monkeypatch, capsys)
+    assert status == 0, err
+    assert err == ""
+    assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_failed_check_report_matches_golden(name, capsys, monkeypatch):
+    status, out, err = run_golden(name, monkeypatch, capsys)
+    assert status == 1
+    assert err == ""
+    assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted([*GOLDEN, *FAILING]))
+def test_run_renders_only_the_form_it_prints(name, capsys, monkeypatch):
+    other = "to_text" if name.endswith(".json") else "to_json_dict"
+
+    def refuse(self):
+        raise AssertionError(f"{other} called by a run that prints {name.rpartition('.')[2]}")
+
+    monkeypatch.setattr(SparsePoly, other, refuse)
+    status, out, err = run_golden(name, monkeypatch, capsys)
+    assert (status, err) == (1 if name in FAILING else 0, "")
+    assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_json_out_file_matches_stdout(tmp_path, capsys):
+    target = tmp_path / "out.json"
+    status = main(["compute", "--p", "2", "--s", "2", "--level", "2", "--json", "--out", str(target)])
     captured = capsys.readouterr()
-    assert status == 0, captured.err
-    assert captured.err == ""
-    assert captured.out.encode() == (GOLDEN_DIR / name).read_bytes()
+    assert (status, captured.out, captured.err) == (0, "", "")
+    assert target.read_bytes() == (GOLDEN_DIR / "compute-p2-s2-l2.json").read_bytes()
