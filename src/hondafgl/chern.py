@@ -37,7 +37,7 @@ def required_level(params: FglParams, k: int) -> int:
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     n = -(-k * params.s // (params.s - 1))
-    assert params.q**n >= params.p ** (k * params.s)
+    assert (params.s - 1) * n >= k * params.s  # q^n >= p^(ks), without the powers
     return n
 
 
@@ -92,11 +92,12 @@ def relation_set(params: FglParams, k: int) -> ChernRelationSet:
     """Generate all m relations in the variables (x_1, .., x_m, u).
 
     The resource guard refuses m * |P_n| terms beyond DEFAULT_MAX_TERMS.
+    The tower is built, and so guarded, before m and the u-cap are computed.
     """
     n = required_level(params, k)
+    top = build_tower(params, n)[-1].poly
     m = params.p**k
     u_cap = params.p ** (k * params.s)
-    top = build_tower(params, n)[-1].poly
     guard(m * len(top.terms), DEFAULT_MAX_TERMS, f"the term count m*|P_n| over {m} tensor-shifted roots")
     variables = tuple(f"x{j}" for j in range(1, m + 1)) + ("u",)
     trunc = TruncationPolicy(caps={"u": u_cap})

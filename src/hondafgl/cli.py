@@ -6,8 +6,11 @@ violation (the report still goes to standard output), 2 invalid parameters,
 given invocation.  The guard lives in the library and reads FGL_MAX_TERMS
 from the environment at each check; a tower deeper than the y-cap allows is
 refused before any level is built.
-Each subcommand returns its exit status with a JSON payload under --json or
-text lines otherwise; `main` alone renders the result and writes it.
+Each subcommand returns (payload, text, status): `payload` is the --json
+object, its polynomials still SparsePoly values, and `text` a generator
+function of the text lines, its polynomials rendered through str.  No
+subcommand looks at the output form; `main` alone renders the one asked for
+and writes it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import sys
 
 from . import chern as chern_mod
 from . import engine, oracle, witt
-from .errors import FglError, ParameterError, ResourceLimitError
+from .errors import FglError, ParameterError, ResourceLimitError, too_long_to_print
+from .ring import SparsePoly
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,186 +91,130 @@ def _add_params(p: argparse.ArgumentParser):
     p.add_argument("--s", type=int, required=True, help="height (s > 1 except for oracle)")
 
 
-def _cmd_witt(args) -> tuple[dict | list[str], int]:
+def _cmd_witt(args):
     family = witt.witt_family(args.p, args.jmax)
-    polys = witt.witt_mod_p(family) if args.mod_p else list(family.polys)
-    if args.json:
-        return {
-            "p": args.p,
-            "jmax": args.jmax,
-            "mod_p": bool(args.mod_p),
-            "polys": [w.to_json_dict() for w in polys],
-        }, 0
-    ring_name = f"F_{args.p}" if args.mod_p else "Z"
-    lines = [f"# witt p={args.p} jmax={args.jmax} ring={ring_name}"]
-    lines += [f"w_{j} = {w.to_text()}" for j, w in enumerate(polys)]
-    return lines, 0
+    polys = witt.witt_mod_p(family) if args.mod_p else family.polys
+    payload = {"p": args.p, "jmax": args.jmax, "mod_p": args.mod_p, "polys": polys}
+
+    def text():
+        yield f"# witt p={args.p} jmax={args.jmax} ring={f'F_{args.p}' if args.mod_p else 'Z'}"
+        for j, w in enumerate(polys):
+            yield f"w_{j} = {w}"
+
+    return payload, text, 0
 
 
-def _cmd_compute(args) -> tuple[dict | list[str], int]:
+def _cmd_compute(args):
     params = engine.FglParams(args.p, args.s)
     f = engine.build_tower(params, args.level)[-1]
+    payload = {"p": params.p, "s": params.s, "q": params.q, "level": f.level, "y_cap": f.y_cap, "poly": f.poly}
+    if args.coeff_table:
+        table = sorted(engine.coefficient_table(f).items())
+        payload["coeff_table"] = [{"l": l, "poly": a} for l, a in table]
     report = engine.verify_degree_bound(f) if args.verify_degree_bound else None
-    status = 1 if report is not None and not report.passed else 0
-    table = engine.coefficient_table(f) if args.coeff_table else None
-    regrade = engine.vs_regrade(f) if args.regrade else None
-
-    if args.json:
-        payload = {
-            "p": params.p,
-            "s": params.s,
-            "q": params.q,
-            "level": f.level,
-            "y_cap": f.y_cap,
-            "poly": f.poly.to_json_dict(),
+    if args.verify_degree_bound:
+        windows = sorted(report.windows.items())
+        payload["degree_bound"] = {
+            "passed": report.passed,
+            "violations": [list(v) for v in report.violations],
+            "windows": [{"m": m, "max_x": mx, "bound": bd} for m, (mx, bd) in windows],
         }
-        if table is not None:
-            payload["coeff_table"] = [
-                {"l": l, "poly": a.to_json_dict()} for l, a in sorted(table.items())
-            ]
-        if report is not None:
-            payload["degree_bound"] = _degree_bound_json(report)
-        if regrade is not None:
-            payload["regrade"] = [
-                {"e": [i, j], "vs": e} for (i, j), e in sorted(regrade.items())
-            ]
-        return payload, status
+    if args.regrade:
+        regrade = sorted(engine.vs_regrade(f).items())
+        payload["regrade"] = [{"e": [i, j], "vs": e} for (i, j), e in regrade]
 
-    lines = [f"# fgl p={params.p} s={params.s} q={params.q} level={f.level} y_cap={f.y_cap}"]
-    lines.append(f.poly.to_text())
-    if table is not None:
-        lines.append("")
-        lines += [f"A_{l} = {a.to_text()}" for l, a in sorted(table.items())]
-    if report is not None:
-        lines.append("")
-        lines.append(_degree_bound_text(report))
-    if regrade is not None:
-        lines.append("")
-        lines.append("v_s exponents:")
-        lines += [f"  x^{i}*y^{j}: {e}" for (i, j), e in sorted(regrade.items())]
-    return lines, status
+    def text():
+        yield f"# fgl p={params.p} s={params.s} q={params.q} level={f.level} y_cap={f.y_cap}"
+        yield f.poly
+        if args.coeff_table:
+            yield ""
+            yield from (f"A_{l} = {a}" for l, a in table)
+        if args.verify_degree_bound:
+            passed = "; ".join(f"m={m}: max x-exponent {mx} <= {bd}" for m, (mx, bd) in windows)
+            failed = ", ".join(f"x^{i}*y^{j} in window m={m}" for i, j, m in report.violations)
+            yield ""
+            yield f"degree bound: pass ({passed})" if report.passed else f"degree bound: FAIL ({failed})"
+        if args.regrade:
+            yield ""
+            yield "v_s exponents:"
+            yield from (f"  x^{i}*y^{j}: {e}" for (i, j), e in regrade)
+
+    return payload, text, 0 if report is None or report.passed else 1
 
 
-def _degree_bound_json(report: engine.DegreeBoundReport) -> dict:
-    return {
-        "passed": report.passed,
-        "violations": [list(v) for v in report.violations],
-        "windows": [
-            {"m": m, "max_x": mx, "bound": bd} for m, (mx, bd) in sorted(report.windows.items())
-        ],
-    }
-
-
-def _degree_bound_text(report: engine.DegreeBoundReport) -> str:
-    windows = "; ".join(
-        f"m={m}: max x-exponent {mx} <= {bd}" for m, (mx, bd) in sorted(report.windows.items())
-    )
-    if report.passed:
-        return f"degree bound: pass ({windows})"
-    bad = ", ".join(f"x^{i}*y^{j} in window m={m}" for i, j, m in report.violations)
-    return f"degree bound: FAIL ({bad})"
-
-
-def _cmd_pseries(args) -> tuple[dict | list[str], int]:
+def _cmd_pseries(args):
     params = engine.FglParams(args.p, args.s)
+    if too_long_to_print(params.p, args.k):
+        raise ParameterError(f"k = {args.k} is too large: p^k has more digits than can be printed")
     series = engine.p_series(engine.build_tower(params, args.level), args.k)
     multiplier = params.p**args.k
-    if args.json:
-        return {
-            "p": params.p,
-            "s": params.s,
-            "q": params.q,
-            "level": args.level,
-            "k": args.k,
-            "multiplier": multiplier,
-            "valid_below": series.valid_below,
-            "poly": series.poly.to_json_dict(),
-        }, 0
-    return [
-        f"# pseries p={params.p} s={params.s} level={args.level} k={args.k} "
-        f"multiplier={multiplier} valid_below=x^{series.valid_below}",
-        f"[{multiplier}](x) = {series.poly.to_text()}",
-    ], 0
+    payload = {"p": params.p, "s": params.s, "q": params.q, "level": args.level, "k": args.k}
+    payload |= {"multiplier": multiplier, "valid_below": series.valid_below, "poly": series.poly}
+
+    def text():
+        yield (
+            f"# pseries p={params.p} s={params.s} level={args.level} k={args.k} "
+            f"multiplier={multiplier} valid_below=x^{series.valid_below}"
+        )
+        yield f"[{multiplier}](x) = {series.poly}"
+
+    return payload, text, 0
 
 
-def _cmd_oracle(args) -> tuple[dict | list[str], int]:
+def _cmd_oracle(args):
     params = engine.FglParams(args.p, args.s)
     orc = oracle.oracle_fgl(params, args.degree)
-    checks: dict[str, bool] = {}
+    checks = {}
     if args.check_associativity:
         checks["associativity"] = oracle.check_associativity(orc).ok
     if args.check_pseries:
-        got = oracle.oracle_p_series(orc, 1)
         exponent = params.p**params.s
         want = {(exponent,): 1} if exponent < args.degree else {}
-        checks["pseries"] = dict(got.terms) == want
-    status = 0 if all(checks.values()) else 1
-    if args.json:
-        payload = {
-            "p": params.p,
-            "s": params.s,
-            "degree": args.degree,
-            "poly_mod_p": orc.poly_mod_p.to_json_dict(),
-            "poly_rational": orc.poly_rational.to_json_dict(),
-        }
-        if checks:
-            payload["checks"] = checks
-        return payload, status
-    lines = [
-        f"# oracle p={params.p} s={params.s} degree={args.degree}",
-        f"F mod p = {orc.poly_mod_p.to_text()}",
-    ]
-    for name, ok in checks.items():
-        lines.append(f"check {name}: {'pass' if ok else 'FAIL'}")
-    return lines, status
+        checks["pseries"] = dict(oracle.oracle_p_series(orc, 1).terms) == want
+    payload = {"p": params.p, "s": params.s, "degree": args.degree}
+    payload |= {"poly_mod_p": orc.poly_mod_p, "poly_rational": orc.poly_rational}
+    if checks:
+        payload["checks"] = checks
+
+    def text():
+        yield f"# oracle p={params.p} s={params.s} degree={args.degree}"
+        yield f"F mod p = {orc.poly_mod_p}"
+        for name, ok in checks.items():
+            yield f"check {name}: {'pass' if ok else 'FAIL'}"
+
+    return payload, text, 0 if all(checks.values()) else 1
 
 
-def _cmd_verify(args) -> tuple[dict | list[str], int]:
+def _cmd_verify(args):
     params = engine.FglParams(args.p, args.s)
     tower = engine.build_tower(params, args.level)
     degree = args.degree
     if degree is None:
         degree = oracle.default_compare_degree(params, args.level)
     report = oracle.compare(tower[-1], oracle.oracle_fgl(params, degree))
-    status = 0 if report.ok else 1
-    if args.json:
-        return {
-            "p": params.p,
-            "s": params.s,
-            "level": args.level,
-            "degree": degree,
-            "ok": report.ok,
-            "mismatches": [
-                {"e": [i, j], "engine": str(ec), "oracle": str(oc)}
-                for i, j, ec, oc in report.mismatches
-            ],
-        }, status
-    return [f"# verify p={params.p} s={params.s} level={args.level} degree={degree}", report.summary()], status
+    payload = {"p": params.p, "s": params.s, "level": args.level, "degree": degree, "ok": report.ok}
+    payload["mismatches"] = [
+        {"e": [i, j], "engine": str(ec), "oracle": str(oc)} for i, j, ec, oc in report.mismatches
+    ]
+
+    def text():
+        yield f"# verify p={params.p} s={params.s} level={args.level} degree={degree}"
+        yield report.summary()
+
+    return payload, text, 0 if report.ok else 1
 
 
-def _cmd_chern(args) -> tuple[dict | list[str], int]:
-    params = engine.FglParams(args.p, args.s)
-    rels = chern_mod.relation_set(params, args.k)
-    if args.json:
-        return {
-            "p": params.p,
-            "s": params.s,
-            "k": rels.k,
-            "m": rels.m,
-            "level": rels.level,
-            "u_cap": rels.u_cap,
-            "relations": [
-                {"i": i, "poly": r.to_json_dict()} for i, r in enumerate(rels.relations, start=1)
-            ],
-        }, 0
-    lines = [
-        f"# chern p={params.p} s={params.s} k={rels.k} m={rels.m} "
-        f"level={rels.level} u_cap={rels.u_cap}"
-    ]
-    lines += [
-        f"relation_{i} = {r.to_text()}" for i, r in enumerate(rels.relations, start=1)
-    ]
-    return lines, 0
+def _cmd_chern(args):
+    rels = chern_mod.relation_set(engine.FglParams(args.p, args.s), args.k)
+    payload = {"p": args.p, "s": args.s, "k": rels.k, "m": rels.m, "level": rels.level, "u_cap": rels.u_cap}
+    payload["relations"] = [{"i": i, "poly": r} for i, r in enumerate(rels.relations, start=1)]
+
+    def text():
+        yield f"# chern p={args.p} s={args.s} k={rels.k} m={rels.m} level={rels.level} u_cap={rels.u_cap}"
+        for i, r in enumerate(rels.relations, start=1):
+            yield f"relation_{i} = {r}"
+
+    return payload, text, 0
 
 
 _COMMANDS = {
@@ -283,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result, status = _COMMANDS[args.command](args)
+        payload, text, status = _COMMANDS[args.command](args)
     except ParameterError as exc:
         print(f"fgl: invalid parameters: {exc}", file=sys.stderr)
         return 2
@@ -293,13 +241,17 @@ def main(argv: list[str] | None = None) -> int:
     except FglError as exc:
         print(f"fgl: error: {exc}", file=sys.stderr)
         return 2
-    text = (json.dumps(result, separators=(",", ":")) if args.json else "\n".join(result)) + "\n"
+    if args.json:
+        lines = [json.dumps(payload, separators=(",", ":"), default=SparsePoly.to_json_dict) + "\n"]
+    else:
+        # written one at a time, so no more than one line's text is held
+        lines = (f"{line}\n" for line in text())
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return status
     try:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         print(f"fgl: invalid parameters: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all hondafgl modules, and the resource guard."""
 
+import math
 import os
+import sys
 
 MAX_TERMS_ENV = "FGL_MAX_TERMS"
 
@@ -44,7 +46,8 @@ class VacuityError(FglError):
 
 class ResourceLimitError(FglError):
     """The resource guard tripped before a computation that would exceed
-    desk scale.  `projected` carries the projected cost."""
+    desk scale.  `projected` carries the projected cost, or None where that
+    is a power too long to print."""
 
     def __init__(self, message: str, projected: int | None = None):
         super().__init__(message)
@@ -59,10 +62,25 @@ def guard(projected: int, default: int, what: str) -> None:
     ParameterError.  A projection of 0, nothing to build, passes any limit.
     `what` names the projected quantity in the message.
     """
+    bound = limit(default)
+    if projected and projected > bound:
+        raise ResourceLimitError(f"{what} is {projected}, beyond the limit {bound}", projected=projected)
+
+
+def limit(default: int) -> int:
+    """FGL_MAX_TERMS as an integer if it is set, else `default`."""
     raw = os.environ.get(MAX_TERMS_ENV)
     try:
-        limit = default if raw is None else int(raw)
+        return default if raw is None else int(raw)
     except ValueError:
         raise ParameterError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}") from None
-    if projected and projected > limit:
-        raise ResourceLimitError(f"{what} is {projected}, beyond the limit {limit}", projected=projected)
+
+
+def too_long_to_print(p: int, k: int) -> bool:
+    """Whether p^k (p >= 2) has more decimal digits than int-to-str converts.
+
+    Decided without computing p^k when it is far past the limit; such a
+    power also exceeds any limit `int` can parse from FGL_MAX_TERMS.
+    """
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    return bool(digits) and (k * math.log10(p) > digits + 1 or p**k >= 10**digits)

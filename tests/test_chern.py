@@ -11,6 +11,7 @@ def test_required_level_examples():
     assert required_level(FglParams(2, 2), 1) == 2  # q^2 = 4 >= 2^2
     assert required_level(FglParams(3, 2), 1) == 2  # 3^2 >= 3^2
     assert required_level(FglParams(2, 3), 2) == 3  # 4^3 = 64 >= 2^6
+    assert required_level(FglParams(2, 2), 10**9) == 2 * 10**9  # no power is taken
     with pytest.raises(ParameterError):
         required_level(FglParams(2, 2), 0)
     with pytest.raises(ParameterError):

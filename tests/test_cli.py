@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -182,11 +183,45 @@ def test_deep_tower_refused_before_any_level_is_built(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv,status,err",
+    [
+        # p^jmax has 6,021 digits, more than int-to-str converts (4,300 by default)
+        ("witt --p 2 --jmax 20000", 3, "the degree p^jmax of w_20000 is 2^20000, beyond the limit 1000000"),
+        # 3^(10^8) alone takes minutes to compute
+        ("witt --p 3 --jmax 100000000", 3, "the degree p^jmax of w_100000000 is 3^100000000, beyond the limit 1000000"),
+        ("pseries --p 2 --s 2 --level 3 --k 14285", 2, "k = 14285 is too large: p^k has more digits than can be printed"),
+        ("pseries --p 2 --s 2 --level 3 --k 100000 --json", 2, "k = 100000 is too large: p^k has more digits than can be printed"),
+        # level 2 * 10^9; neither 2^(10^9) nor 2^(2 * 10^9) is computed
+        ("chern --p 2 --s 2 --k 1000000000", 3, "the y-cap of level 14 is 16384, beyond the limit 10000"),
+    ],
+)
+def test_huge_powers_refused_at_once(capsys, monkeypatch, argv, status, err):
+    import hondafgl.engine as eng
+
+    def no_extend(tower):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(eng, "extend", no_extend)
+    start = time.perf_counter()
+    got = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 2
+    kind = "resource guard" if status == 3 else "invalid parameters"
+    assert got == (status, "", f"fgl: {kind}: {err}\n")
+
+
+def test_largest_printable_multiplier(capsys):
+    status, out, err = run_cli(capsys, "pseries", "--p", "2", "--s", "2", "--level", "3", "--k", "14284")
+    assert (status, err) == (0, "")
+    assert f" multiplier={2**14284} " in out
+
+
+@pytest.mark.parametrize(
     "argv,expected",
     [
         ("compute --p 2 --s 2 --level 1", 2),
         ("compute --p 2 --s 2 --level 2", 2),
         ("witt --p 2 --jmax 2", 2),
+        ("witt --p 2 --jmax 20000", 2),
         ("chern --p 2 --s 2 --k 1", 2),
         ("oracle --p 2 --s 2 --degree 5", 0),  # the oracle has no guard
     ],
