@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import FglParams, TruncatedFgl, _require_recursion_height, build_tower, p_series
-from .errors import ParameterError, VacuityError, guard
+from .errors import ParameterError, VacuityError, guard, shown
 from .ring import SparsePoly, TruncationPolicy, elementary_symmetric_all
 
 DEFAULT_MAX_TERMS = 10**7
@@ -35,7 +35,7 @@ def required_level(params: FglParams, k: int) -> int:
     """
     _require_recursion_height(params)
     if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+        raise ParameterError(f"k must be >= 1, got {shown(k)}")
     n = -(-k * params.s // (params.s - 1))
     assert (params.s - 1) * n >= k * params.s  # q^n >= p^(ks), without the powers
     return n

@@ -21,7 +21,7 @@ import sys
 
 from . import chern as chern_mod
 from . import engine, oracle, witt
-from .errors import FglError, ParameterError, ResourceLimitError, too_long_to_print
+from .errors import FglError, ParameterError, ResourceLimitError, shown, too_long_to_print
 from .ring import SparsePoly
 
 
@@ -145,7 +145,7 @@ def _cmd_compute(args):
 def _cmd_pseries(args):
     params = engine.FglParams(args.p, args.s)
     if too_long_to_print(params.p, args.k):
-        raise ParameterError(f"k = {args.k} is too large: p^k has more digits than can be printed")
+        raise ParameterError(f"k = {shown(args.k)} is too large: p^k has more digits than can be printed")
     series = engine.p_series(engine.build_tower(params, args.level), args.k)
     multiplier = params.p**args.k
     payload = {"p": params.p, "s": params.s, "q": params.q, "level": args.level, "k": args.k}

@@ -41,6 +41,7 @@ from .errors import (
     ParameterError,
     StructuralError,
     guard,
+    shown,
 )
 from .ring import SparsePoly, TruncationPolicy, _is_prime, prime_field
 from .witt import witt_family, witt_mod_p
@@ -64,9 +65,9 @@ class FglParams:
 
     def __post_init__(self):
         if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ParameterError(f"p must be prime, got {self.p!r}")
+            raise ParameterError(f"p must be prime, got {shown(self.p)}")
         if not isinstance(self.s, int) or self.s < 1:
-            raise ParameterError(f"s must be a positive integer, got {self.s!r}")
+            raise ParameterError(f"s must be a positive integer, got {shown(self.s)}")
 
     @property
     def q(self) -> int:
@@ -133,7 +134,7 @@ def build_tower(params: FglParams, level: int) -> list[TruncatedFgl]:
     nothing, so its projection is 0 and only the limit is parsed.
     """
     if level < 1:
-        raise ParameterError(f"level must be >= 1, got {level}")
+        raise ParameterError(f"level must be >= 1, got {shown(level)}")
     tower = [initial_fgl(params)]
     for m in range(1, level + 1):
         guard(params.q**m if m > 1 else 0, DEFAULT_MAX_Y_CAP, f"the y-cap of level {m}")
@@ -221,7 +222,7 @@ def law_p_series(law: SparsePoly, k: int, bound: int) -> SparsePoly:
     substituted has no constant term.
     """
     if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
+        raise ParameterError(f"k must be >= 0, got {shown(k)}")
     trunc = TruncationPolicy(caps={"x": bound})
     x = SparsePoly.variable(("x",), law.domain, "x")
     series = x

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all hondafgl modules, and the resource guard."""
+"""Exception hierarchy shared by all hondafgl modules, the resource guard, and
+how its messages name a number."""
 
 import math
 import os
@@ -54,26 +55,40 @@ class ResourceLimitError(FglError):
         self.projected = projected
 
 
-def guard(projected: int, default: int, what: str) -> None:
+def guard(projected: int | tuple[int, int], default: int, what: str) -> None:
     """Refuse work whose projected size exceeds the limit.
 
     The limit is `default` unless the FGL_MAX_TERMS environment variable is
     set; it is read at every call, and a value that is not an integer is a
     ParameterError.  A projection of 0, nothing to build, passes any limit.
-    `what` names the projected quantity in the message.
+    A projection given as a power (b, k) is computed only if it can be
+    printed, and one too long to print exceeds any limit.  `what` names the
+    projected quantity in the message.
     """
-    bound = limit(default)
-    if projected and projected > bound:
-        raise ResourceLimitError(f"{what} is {projected}, beyond the limit {bound}", projected=projected)
-
-
-def limit(default: int) -> int:
-    """FGL_MAX_TERMS as an integer if it is set, else `default`."""
     raw = os.environ.get(MAX_TERMS_ENV)
     try:
-        return default if raw is None else int(raw)
+        bound = default if raw is None else int(raw)
     except ValueError:
         raise ParameterError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}") from None
+    power = projected if isinstance(projected, tuple) else None
+    if power:
+        projected = None if too_long_to_print(*power) else power[0] ** power[1]
+    if projected is None or (projected and projected > bound):
+        message = f"{what} is {shown(projected, power)}, beyond the limit {shown(bound)}"
+        raise ResourceLimitError(message, projected=projected)
+
+
+def shown(n, power: tuple[int, int] | None = None) -> str:
+    """How a message names a number: as its repr up to 30 digits, past that
+    as the power (b, k) that gave it, if any, else by its digit count."""
+    if n is not None and (not isinstance(n, int) or abs(n) < 10**30):
+        return repr(n)
+    if power:
+        return f"{power[0]}^{shown(power[1])}"
+    m = abs(n)
+    digits = int(math.log10(m)) + 1
+    digits += (m >= 10**digits) - (m < 10 ** (digits - 1))
+    return f"a {'negative ' if n < 0 else ''}number of {digits} digits"
 
 
 def too_long_to_print(p: int, k: int) -> bool:
@@ -83,4 +98,4 @@ def too_long_to_print(p: int, k: int) -> bool:
     power also exceeds any limit `int` can parse from FGL_MAX_TERMS.
     """
     digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    return bool(digits) and (k * math.log10(p) > digits + 1 or p**k >= 10**digits)
+    return bool(digits) and (k > (digits + 1) / math.log10(p) or p**k >= 10**digits)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import FglParams, TruncatedFgl, law_p_series
-from .errors import ParameterError, StructuralError
+from .engine import DEFAULT_MAX_Y_CAP, FglParams, TruncatedFgl, law_p_series
+from .errors import ParameterError, StructuralError, guard, shown
 from .ring import RATIONALS, SparsePoly, TruncationPolicy, _grlex_key
 
 VARS = ("x", "y")
@@ -73,9 +73,12 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
     """exp(log x + log y) modulo total degree, with the p-integrality check.
 
     An IntegralityError out of the mod-p reduction would falsify the whole
-    construction and is deliberately not caught here.
+    construction and is deliberately not caught here.  The resource guard
+    refuses a degree D beyond DEFAULT_MAX_Y_CAP: D bounds the same bivariate
+    exponents the y-cap does.
     """
     _check_degree(degree)
+    guard(degree, DEFAULT_MAX_Y_CAP, "the total degree D of the oracle")
     trunc = TruncationPolicy(total=degree)
     log = honda_log(params, degree)
     exp = revert_series(log, degree)
@@ -174,4 +177,4 @@ def check_associativity(oracle: OracleFgl) -> AssociativityReport:
 
 def _check_degree(degree: int):
     if degree < 2:
-        raise ParameterError(f"degree bound must be >= 2, got {degree}")
+        raise ParameterError(f"degree bound must be >= 2, got {shown(degree)}")

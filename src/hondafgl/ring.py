@@ -21,13 +21,12 @@ broken so that higher powers of earlier variables come first.  Serialization
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .errors import IntegralityError, ParameterError, StructuralError
+from .errors import IntegralityError, ParameterError, StructuralError, shown
 
 Exponent = tuple[int, ...]
 Coeff = Union[int, Fraction]
@@ -37,18 +36,33 @@ _INT = "int"
 _RAT = "rat"
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin over the 13 primes 2..41, which decides every n below
+    _PRIME_LIMIT (Sorenson & Webster 2015); a larger n is refused."""
+    if n >= _PRIME_LIMIT:
+        raise ParameterError(f"p = {shown(n)} is too large: primality is decided only below {_PRIME_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -64,7 +78,7 @@ class Domain:
             raise StructuralError(f"unknown coefficient domain kind {self.kind!r}")
         if self.kind == _FP:
             if self.p is None or not _is_prime(self.p):
-                raise ParameterError(f"prime field modulus must be prime, got {self.p!r}")
+                raise ParameterError(f"prime field modulus must be prime, got {shown(self.p)}")
         elif self.p is not None:
             raise StructuralError(f"domain {self.kind!r} takes no modulus")
 
@@ -84,17 +98,10 @@ class Domain:
             return int(c)
         return c if isinstance(c, Fraction) else Fraction(c)
 
-    def coeff_from_str(self, s: str) -> Coeff:
-        return self.normalize(Fraction(s) if self.kind == _RAT else int(s))
-
     def to_json_dict(self) -> dict:
         if self.kind == _FP:
             return {"kind": _FP, "p": self.p}
         return {"kind": self.kind}
-
-    @staticmethod
-    def from_json_dict(d: Mapping) -> "Domain":
-        return Domain(d["kind"], d.get("p"))
 
     def __str__(self) -> str:
         if self.kind == _FP:
@@ -129,26 +136,9 @@ class TruncationPolicy:
             if bound < 0:
                 raise StructuralError(f"negative exponent cap for {v!r}")
 
-    @property
-    def is_unbounded(self) -> bool:
-        return not self.caps and self.total is None
-
-    def cap_vector(self, variables: Sequence[str]) -> tuple:
-        """Per-variable caps aligned with a variable order (None = uncapped)."""
-        return tuple(self.caps.get(v) for v in variables)
-
-    def allows(self, variables: Sequence[str], exponent: Exponent) -> bool:
-        if self.total is not None and sum(exponent) >= self.total:
-            return False
-        for e, cap in zip(exponent, self.cap_vector(variables)):
-            if cap is not None and e >= cap:
-                return False
-        return True
-
 
 NO_TRUNCATION = TruncationPolicy()
 
-_VAR_RE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 
 
@@ -260,7 +250,7 @@ class SparsePoly:
         exactly and reduced once at the end.
         """
         self._check_compatible(other)
-        caps = None if not trunc.caps else trunc.cap_vector(self.variables)
+        caps = tuple(trunc.caps.get(v) for v in self.variables) if trunc.caps else None
         total = trunc.total
         out: dict[Exponent, Coeff] = {}
         for e1, c1 in self.terms.items():
@@ -295,12 +285,8 @@ class SparsePoly:
         return result
 
     def truncate(self, trunc: TruncationPolicy) -> "SparsePoly":
-        if trunc.is_unbounded:
-            return self
-        keep = {e: c for e, c in self.terms.items() if trunc.allows(self.variables, e)}
-        if len(keep) == len(self.terms):
-            return self
-        return SparsePoly(self.variables, self.domain, keep)
+        """The monomials `trunc` allows: the product with 1, through mul's own test."""
+        return self.mul(SparsePoly.one(self.variables, self.domain), trunc)
 
     def substitute(
         self,
@@ -415,37 +401,6 @@ class SparsePoly:
     def __repr__(self) -> str:
         return f"SparsePoly({self.to_text()!r}, vars={self.variables}, domain={self.domain})"
 
-    @classmethod
-    def parse_text(cls, text: str, variables: Sequence[str], domain: Domain) -> "SparsePoly":
-        """Inverse of to_text for the given variable set and domain."""
-        variables = tuple(variables)
-        index = {v: i for i, v in enumerate(variables)}
-        s = text.strip()
-        if s == "0":
-            return cls.zero(variables, domain)
-        s = s.replace(" - ", " + -")
-        terms: dict[Exponent, Coeff] = {}
-        for raw in s.split(" + "):
-            raw = raw.strip()
-            negative = raw.startswith("-")
-            if negative:
-                raw = raw[1:]
-            coeff: Coeff = 1
-            exps = [0] * len(variables)
-            for factor in raw.split("*"):
-                factor = factor.strip()
-                m = _VAR_RE.match(factor)
-                if m and m.group(1) in index:
-                    exps[index[m.group(1)]] += int(m.group(2) or 1)
-                else:
-                    try:
-                        coeff = coeff * (Fraction(factor) if "/" in factor else int(factor))
-                    except ValueError:
-                        raise StructuralError(f"cannot parse factor {factor!r}") from None
-            e = tuple(exps)
-            terms[e] = terms.get(e, 0) + (-coeff if negative else coeff)
-        return cls(variables, domain, terms)
-
     def to_json_dict(self) -> dict:
         terms = []
         for e, c in self.sorted_terms():
@@ -458,27 +413,6 @@ class SparsePoly:
             "domain": self.domain.to_json_dict(),
             "terms": terms,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "SparsePoly":
-        variables = tuple(d["vars"])
-        domain = Domain.from_json_dict(d["domain"])
-        n = len(variables)
-        terms: dict[Exponent, Coeff] = {}
-        for t in d["terms"]:
-            e = list(t["e"])
-            if len(e) > n:
-                raise StructuralError(f"exponent {e} too long for {variables}")
-            e = tuple(e + [0] * (n - len(e)))
-            terms[e] = domain.coeff_from_str(t["c"])
-        return cls(variables, domain, terms)
-
-    @classmethod
-    def from_json(cls, s: str) -> "SparsePoly":
-        return cls.from_json_dict(json.loads(s))
 
 
 def elementary_symmetric_all(

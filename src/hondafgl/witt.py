@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InternalConsistencyError, ParameterError, ResourceLimitError, guard, limit, too_long_to_print
+from .errors import InternalConsistencyError, ParameterError, guard, shown
 from .ring import INTEGERS, SparsePoly, _is_prime, prime_field
 
 VARS = ("x", "y")
@@ -61,16 +61,13 @@ def witt_family(p: int, jmax: int) -> WittFamily:
 
     w_n = (x^(p^n) + y^(p^n) - sum_{j<n} p^j w_j^(p^(n-j))) / p^n, with the
     division certified exact.  The resource guard refuses p^jmax beyond
-    DEFAULT_MAX_DEGREE, naming it as a power when it is too long to print.
+    DEFAULT_MAX_DEGREE, naming it as a power when it has more than 30 digits.
     """
     if not _is_prime(p):
-        raise ParameterError(f"p must be prime, got {p}")
+        raise ParameterError(f"p must be prime, got {shown(p)}")
     if jmax < 0:
-        raise ParameterError(f"jmax must be >= 0, got {jmax}")
-    what = f"the degree p^jmax of w_{jmax}"
-    if too_long_to_print(p, jmax):
-        raise ResourceLimitError(f"{what} is {p}^{jmax}, beyond the limit {limit(DEFAULT_MAX_DEGREE)}")
-    guard(p**jmax, DEFAULT_MAX_DEGREE, what)
+        raise ParameterError(f"jmax must be >= 0, got {shown(jmax)}")
+    guard((p, jmax), DEFAULT_MAX_DEGREE, f"the degree p^jmax of w_{shown(jmax)}")
     polys = [SparsePoly(VARS, INTEGERS, {(1, 0): 1, (0, 1): 1})]
     for n in range(1, jmax + 1):
         residual = _power_sum(p, n)

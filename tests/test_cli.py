@@ -5,7 +5,6 @@ import pytest
 
 from hondafgl.cli import main
 from hondafgl.engine import FglParams, build_tower
-from hondafgl.ring import SparsePoly
 
 
 def run_cli(capsys, *argv):
@@ -39,8 +38,7 @@ def test_compute_json_round_trips(capsys):
     payload = json.loads(out)
     assert (payload["p"], payload["s"], payload["q"]) == (3, 2, 3)
     assert payload["y_cap"] == 9
-    poly = SparsePoly.from_json_dict(payload["poly"])
-    assert poly == build_tower(FglParams(3, 2), 2)[-1].poly
+    assert payload["poly"] == build_tower(FglParams(3, 2), 2)[-1].poly.to_json_dict()
 
 
 def test_compute_optional_sections(capsys):
@@ -74,8 +72,7 @@ def test_witt_mod_p_json(capsys):
     assert status == 0
     payload = json.loads(out)
     assert payload["mod_p"] is True
-    w2 = SparsePoly.from_json_dict(payload["polys"][2])
-    assert w2.to_text() == "x^3*y + x*y^3"
+    assert payload["polys"][2]["terms"] == [{"e": [3, 1], "c": "1"}, {"e": [1, 3], "c": "1"}]
 
 
 def test_pseries(capsys):
@@ -121,8 +118,9 @@ def test_chern_json_schema(capsys):
     assert {"p", "s", "k", "m", "level", "u_cap", "relations"} <= set(payload)
     assert payload["m"] == 2 and payload["u_cap"] == 4
     assert [r["i"] for r in payload["relations"]] == [1, 2]
-    first = SparsePoly.from_json_dict(payload["relations"][0]["poly"])
-    assert first.to_text() == "x1^2*u^2 + x2^2*u^2"
+    first = payload["relations"][0]["poly"]
+    assert first["vars"] == ["x1", "x2", "u"]
+    assert first["terms"] == [{"e": [2, 0, 2], "c": "1"}, {"e": [0, 2, 2], "c": "1"}]
 
 
 def test_resource_guard_exit_code(capsys):
@@ -216,6 +214,45 @@ def test_largest_printable_multiplier(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,status,err",
+    [
+        # D = 10^6 and the default D = 2^20 + 1 both ran past 10 s before the oracle was guarded
+        ("oracle --p 2 --s 2 --degree 1000000", 3, "the total degree D of the oracle is 1000000, beyond the limit 10000"),
+        ("verify --p 2 --s 20 --level 1", 3, "the total degree D of the oracle is 1048577, beyond the limit 10000"),
+        # past 30 digits a number is named as a power, or else by its digit count
+        ("witt --p 2 --jmax 14000", 3, "the degree p^jmax of w_14000 is 2^14000, beyond the limit 1000000"),
+        ("oracle --p 2 --s 2 --degree HUGE", 3, "the total degree D of the oracle is a number of 4000 digits, beyond the limit 10000"),
+        ("oracle --p 2 --s 2 --degree -HUGE", 2, "degree bound must be >= 2, got a negative number of 4000 digits"),
+        ("compute --p -HUGE --s 2 --level 1", 2, "p must be prime, got a negative number of 4000 digits"),
+        ("compute --p 2 --s 20000 --level 2", 3, "the y-cap of level 2 is a number of 12041 digits, beyond the limit 10000"),
+        # k and jmax past 10^308 used to overflow a float in too_long_to_print
+        ("pseries --p 2 --s 2 --level 3 --k HUGE", 2, "k = a number of 4000 digits is too large: p^k has more digits than can be printed"),
+        ("witt --p 2 --jmax HUGE", 3, "the degree p^jmax of w_a number of 4000 digits is 2^a number of 4000 digits, beyond the limit 1000000"),
+        # primality is decided exactly only below 3317044064679887385961981
+        ("compute --p HUGE --s 2 --level 1", 2, "p = a number of 4000 digits is too large: primality is decided only below 3317044064679887385961981"),
+        ("witt --p 3317044064679887385961981 --jmax 0", 2, "p = 3317044064679887385961981 is too large: primality is decided only below 3317044064679887385961981"),
+    ],
+)
+def test_refusal_is_one_short_line(capsys, argv, status, err):
+    # HUGE stands for 10^3999, as many digits as int() parses from text
+    argv = argv.replace("HUGE", "1" + "0" * 3999)
+    start = time.perf_counter()
+    got = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 2
+    kind = "resource guard" if status == 3 else "invalid parameters"
+    assert got == (status, "", f"fgl: {kind}: {err}\n")
+    assert len(got[2]) < 200
+
+
+def test_large_prime_accepted_at_once(capsys):
+    start = time.perf_counter()
+    status, out, err = run_cli(capsys, "witt", "--p", str(2**61 - 1), "--jmax", "0")
+    assert time.perf_counter() - start < 2
+    assert (status, err) == (0, "")
+    assert out.splitlines()[1] == "w_0 = x + y"
+
+
+@pytest.mark.parametrize(
     "argv,expected",
     [
         ("compute --p 2 --s 2 --level 1", 2),
@@ -223,7 +260,7 @@ def test_largest_printable_multiplier(capsys):
         ("witt --p 2 --jmax 2", 2),
         ("witt --p 2 --jmax 20000", 2),
         ("chern --p 2 --s 2 --k 1", 2),
-        ("oracle --p 2 --s 2 --degree 5", 0),  # the oracle has no guard
+        ("oracle --p 2 --s 2 --degree 5", 2),
     ],
 )
 def test_malformed_override(capsys, monkeypatch, argv, expected):

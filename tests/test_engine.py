@@ -19,6 +19,7 @@ from hondafgl.errors import (
     ParameterError,
     ResourceLimitError,
     StructuralError,
+    shown,
 )
 from hondafgl.oracle import oracle_fgl, oracle_p_series
 from hondafgl.ring import SparsePoly, TruncationPolicy, prime_field
@@ -149,6 +150,18 @@ def test_extend_memory_guard():
     with pytest.raises(ResourceLimitError) as exc:
         extend(tower)
     assert exc.value.projected == 25**3
+
+
+def test_messages_name_numbers_past_30_digits_by_power_or_digit_count():
+    assert shown(10**30 - 1) == "9" * 30
+    assert shown(-(10**30) + 1) == "-" + "9" * 30
+    assert shown(10**30) == "a number of 31 digits"
+    assert shown(10**31 - 1) == "a number of 31 digits"
+    assert shown(-(10**4299)) == "a negative number of 4300 digits"
+    assert shown(10**5000) == "a number of 5001 digits"  # past what str() converts
+    assert shown(2**100, (2, 100)) == "2^100"
+    assert shown(None, (3, 10**8)) == "3^100000000"
+    assert shown(2**20, (2, 20)) == "1048576"
 
 
 def test_ladder_certificate_guards_substitution(monkeypatch):
