@@ -3,15 +3,18 @@
 Each file under tests/golden/ is the stdout of `python -m hondafgl <argv>`:
 the first 17 entries were frozen at commit b26005e, before the CLI and the
 p-series were rewritten, the next 11 at commit c37dfb6, before the resource
-guards were merged into one, and the rest at commit 32d8eea, before each
-subcommand returned one payload for both output forms.  The c37dfb6 entries
-are the determinism commands of test_acceptance.py and towers deep enough to
-pin the ladder fold at ladder index j up to 3.  The 32d8eea entries add the
-forms no golden held yet and, in FAILING, the reports of a failed check:
-each reaches its exit-1 branch through one module attribute the CLI calls,
-patched to return the real report with one mismatch added.  A change to any
-of these outputs is a change of behaviour, not a refactor: the files are not
-to be regenerated to make this test pass.
+guards were merged into one, the next ones at commit 32d8eea, before each
+subcommand returned one payload for both output forms, and the last at
+commit e2eb7a8, before a p^r-th power over F_p became a scaling of its
+exponents.  The c37dfb6 entries are the determinism commands of
+test_acceptance.py and towers deep enough to pin the ladder fold at ladder
+index j up to 3.  The 32d8eea entries add the forms no golden held yet and,
+in FAILING, the reports of a failed check: each reaches its exit-1 branch
+through one module attribute the CLI calls, patched to return the real
+report with one mismatch added.  The e2eb7a8 entry is (2,2) level 7, the
+deepest tower the code before it reached, in about 6 minutes on a 2-vCPU
+host.  A change to any of these outputs is a change of behaviour, not a
+refactor: the files are not to be regenerated to make this test pass.
 """
 
 from dataclasses import replace
@@ -60,6 +63,8 @@ GOLDEN = {
     "oracle-p2-s2-d17.txt": "oracle --p 2 --s 2 --degree 17",
     "oracle-p2-s2-d17.json": "oracle --p 2 --s 2 --degree 17 --json",
     "compute-p2-s2-l2.json": "compute --p 2 --s 2 --level 2 --json",
+    # frozen at e2eb7a8
+    "compute-p2-s2-l7.txt": "compute --p 2 --s 2 --level 7",
 }
 
 # frozen at 32d8eea; these exit 1: (argv, module, attribute, report field, value)
