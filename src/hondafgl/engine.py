@@ -15,10 +15,12 @@ levels:
     t   = P_{n+1-j}(t, b_j)        for j = 1 .. n-1, with b_j = (w_j mod p)^(q^j),
     P_{n+1} = t + b_n,
 
-every product truncated at y-exponent < q^(n+1).  Each collapse step is only
-valid because the substituted second slot b_j is divisible by y^(q^j), which
-makes the neglected tail b_j^(q^(n+1-j)) vanish modulo y^(q^(n+1)); `extend`
-asserts this divisibility at run time rather than assuming it.
+every product truncated at y-exponent < q^(n+1).  Since q^j is a power of p,
+b_j is a Frobenius twist over F_p: every exponent of w_j mod p times q^j (see
+`ring`), with no product formed.  Each collapse step is only valid because
+the substituted second slot b_j is divisible by y^(q^j), which makes the
+neglected tail b_j^(q^(n+1-j)) vanish modulo y^(q^(n+1)); `extend` asserts
+this divisibility at run time rather than assuming it.
 
 The y-cap q^n is the engine's resource guard: `build_tower` refuses a tower
 whose top y-cap is past the limit before it builds any level, and `extend`
@@ -137,7 +139,7 @@ def build_tower(params: FglParams, level: int) -> list[TruncatedFgl]:
         raise ParameterError(f"level must be >= 1, got {shown(level)}")
     tower = [initial_fgl(params)]
     for m in range(1, level + 1):
-        guard(params.q**m if m > 1 else 0, DEFAULT_MAX_Y_CAP, f"the y-cap of level {m}")
+        guard((params.p, (params.s - 1) * m) if m > 1 else 0, DEFAULT_MAX_Y_CAP, f"the y-cap of level {m}")
     while len(tower) < level:
         tower.append(extend(tower))
     return tower

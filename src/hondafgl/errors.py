@@ -60,7 +60,8 @@ def guard(projected: int | tuple[int, int], default: int, what: str) -> None:
 
     The limit is `default` unless the FGL_MAX_TERMS environment variable is
     set; it is read at every call, and a value that is not an integer is a
-    ParameterError.  A projection of 0, nothing to build, passes any limit.
+    ParameterError, whose message names a long value by its start and length.
+    A projection of 0, nothing to build, passes any limit.
     A projection given as a power (b, k) is computed only if it can be
     printed, and one too long to print exceeds any limit.  `what` names the
     projected quantity in the message.
@@ -69,7 +70,8 @@ def guard(projected: int | tuple[int, int], default: int, what: str) -> None:
     try:
         bound = default if raw is None else int(raw)
     except ValueError:
-        raise ParameterError(f"{MAX_TERMS_ENV} must be an integer, got {raw!r}") from None
+        got = repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
+        raise ParameterError(f"{MAX_TERMS_ENV} must be an integer, got {got}") from None
     power = projected if isinstance(projected, tuple) else None
     if power:
         projected = None if too_long_to_print(*power) else power[0] ** power[1]

@@ -29,6 +29,7 @@ VARS = ("x", "y")
 def honda_log(params: FglParams, degree: int) -> SparsePoly:
     """The logarithm sum_{i>=0, p^(s*i) < degree} x^(p^(s*i)) / p^i, over Q."""
     _check_degree(degree)
+    guard((params.p, params.s), DEFAULT_MAX_Y_CAP, "the exponent p^s of the Honda logarithm")
     terms = {}
     i = 0
     while params.p ** (params.s * i) < degree:
@@ -142,7 +143,11 @@ def compare(engine_fgl: TruncatedFgl, oracle: OracleFgl) -> CompareReport:
 
 
 def default_compare_degree(params: FglParams, level: int) -> int:
-    """Comparison degree making the overlap region nonvacuous: max(p^s + 1, q^level)."""
+    """Comparison degree making the overlap region nonvacuous: max(p^s + 1, q^level).
+
+    p^s is guarded before it is computed; `build_tower` guards q^level.
+    """
+    guard((params.p, params.s), DEFAULT_MAX_Y_CAP, "the total degree D of the oracle exceeds p^s, which")
     return max(params.p**params.s + 1, params.q**level)
 
 

@@ -14,6 +14,10 @@ polynomials) can be truncated on the fly by a `TruncationPolicy` carrying
 per-variable exponent caps and an optional total-degree cap, which keeps
 intermediate results small when working modulo y^N or modulo a total degree.
 
+Over F_p, powers and substitution multiply only inside self^0 .. self^(p-1):
+a p^r-th power is a Frobenius twist, (sum c m)^(p^r) = sum c m^(p^r) since
+c^p = c, so self^k is a product of twists, one per base-p digit of k.
+
 Canonical term order is graded-lexicographic: ascending total degree, ties
 broken so that higher powers of earlier variables come first.  Serialization
 (JSON and text) always emits this order, so outputs are byte-reproducible.
@@ -270,9 +274,11 @@ class SparsePoly:
         return SparsePoly(self.variables, self.domain, out)
 
     def pow(self, exponent: int, trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
-        """Repeated squaring, truncating after every product."""
+        """Repeated squaring, truncating after every product; over F_p, `_powers`."""
         if exponent < 0:
             raise StructuralError("negative exponent")
+        if self.domain.kind == _FP:
+            return self._powers(trunc)(exponent)
         result = SparsePoly.one(self.variables, self.domain)
         base = self.truncate(trunc)
         e = exponent
@@ -283,6 +289,33 @@ class SparsePoly:
             if e:
                 base = base.mul(base, trunc)
         return result
+
+    def _twist(self, factor: int, trunc: TruncationPolicy) -> "SparsePoly":
+        """self^factor over F_p, for a power `factor` of p, modulo `trunc`:
+        (sum c m)^factor = sum c m^factor as c^p = c, so nothing is multiplied."""
+        scaled = {tuple(k * factor for k in e): c for e, c in self.terms.items()}
+        return SparsePoly(self.variables, self.domain, scaled).truncate(trunc)
+
+    def _powers(self, trunc: TruncationPolicy):
+        """The map k -> self^k modulo `trunc`, over F_p: the product of the
+        twists (self^d)^(p^r) over the nonzero digits d of k = sum d p^r.
+        Each self^d (d < p) and each twist is made once, when first needed."""
+        p, digits, twists = self.domain.p, [SparsePoly.one(self.variables, self.domain)], {}
+
+        def power(k: int) -> "SparsePoly":
+            out, factor = None, 1
+            while k:
+                k, d = divmod(k, p)
+                if d:
+                    while len(digits) <= d:
+                        digits.append(digits[-1].mul(self, trunc))
+                    if (d, factor) not in twists:
+                        twists[d, factor] = digits[d]._twist(factor, trunc)
+                    out = twists[d, factor] if out is None else out.mul(twists[d, factor], trunc)
+                factor *= p
+            return digits[0] if out is None else out
+
+        return power
 
     def truncate(self, trunc: TruncationPolicy) -> "SparsePoly":
         """The monomials `trunc` allows: the product with 1, through mul's own test."""
@@ -314,17 +347,18 @@ class SparsePoly:
         if first.domain != self.domain:
             raise StructuralError(f"image domain {first.domain} differs from template domain {self.domain}")
 
-        # cache img, img^2, ..., img^max once per variable
-        max_exp = [0] * len(self.variables)
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k > max_exp[i]:
-                    max_exp[i] = k
-        powers: list[list[SparsePoly]] = []
+        # cache img^k for every exponent k of each variable: by `_powers`
+        # over F_p, otherwise as img, img^2, ..., img^max
         one = SparsePoly.one(first.variables, first.domain)
-        for img, top in zip(images, max_exp):
+        powers: list = []
+        for i, img in enumerate(images):
+            ks = {e[i] for e in self.terms}
+            if self.domain.kind == _FP:
+                power = img._powers(trunc)
+                powers.append({k: power(k) for k in ks})
+                continue
             col = [one]
-            for _ in range(top):
+            for _ in range(max(ks, default=0)):
                 col.append(col[-1].mul(img, trunc))
             powers.append(col)
 

@@ -218,13 +218,17 @@ def test_largest_printable_multiplier(capsys):
     [
         # D = 10^6 and the default D = 2^20 + 1 both ran past 10 s before the oracle was guarded
         ("oracle --p 2 --s 2 --degree 1000000", 3, "the total degree D of the oracle is 1000000, beyond the limit 10000"),
-        ("verify --p 2 --s 20 --level 1", 3, "the total degree D of the oracle is 1048577, beyond the limit 10000"),
+        ("verify --p 2 --s 20 --level 1", 3, "the total degree D of the oracle exceeds p^s, which is 1048576, beyond the limit 10000"),
         # past 30 digits a number is named as a power, or else by its digit count
         ("witt --p 2 --jmax 14000", 3, "the degree p^jmax of w_14000 is 2^14000, beyond the limit 1000000"),
         ("oracle --p 2 --s 2 --degree HUGE", 3, "the total degree D of the oracle is a number of 4000 digits, beyond the limit 10000"),
         ("oracle --p 2 --s 2 --degree -HUGE", 2, "degree bound must be >= 2, got a negative number of 4000 digits"),
         ("compute --p -HUGE --s 2 --level 1", 2, "p must be prime, got a negative number of 4000 digits"),
-        ("compute --p 2 --s 20000 --level 2", 3, "the y-cap of level 2 is a number of 12041 digits, beyond the limit 10000"),
+        ("compute --p 2 --s 20000 --level 2", 3, "the y-cap of level 2 is 2^39998, beyond the limit 10000"),
+        # a huge s: neither the y-cap q^2, nor the default D > p^s, nor the log's x^(p^s) is computed
+        ("compute --p 2 --s HUGE --level 2", 3, "the y-cap of level 2 is 2^a number of 4000 digits, beyond the limit 10000"),
+        ("verify --p 2 --s HUGE --level 1", 3, "the total degree D of the oracle exceeds p^s, which is 2^a number of 4000 digits, beyond the limit 10000"),
+        ("oracle --p 2 --s HUGE --degree 5", 3, "the exponent p^s of the Honda logarithm is 2^a number of 4000 digits, beyond the limit 10000"),
         # k and jmax past 10^308 used to overflow a float in too_long_to_print
         ("pseries --p 2 --s 2 --level 3 --k HUGE", 2, "k = a number of 4000 digits is too large: p^k has more digits than can be printed"),
         ("witt --p 2 --jmax HUGE", 3, "the degree p^jmax of w_a number of 4000 digits is 2^a number of 4000 digits, beyond the limit 1000000"),
@@ -264,12 +268,15 @@ def test_large_prime_accepted_at_once(capsys):
     ],
 )
 def test_malformed_override(capsys, monkeypatch, argv, expected):
-    monkeypatch.setenv("FGL_MAX_TERMS", "abc")
-    status, out, err = run_cli(capsys, *argv.split())
-    assert status == expected
-    if expected:
-        assert not out
-        assert err == "fgl: invalid parameters: FGL_MAX_TERMS must be an integer, got 'abc'\n"
+    # a long value is named by its start and length, so the line stays short
+    for value, got in (("abc", "'abc'"), ("a" * 5000, f"'{'a' * 20}'... (5000 characters)")):
+        monkeypatch.setenv("FGL_MAX_TERMS", value)
+        status, out, err = run_cli(capsys, *argv.split())
+        assert status == expected
+        if expected:
+            assert not out
+            assert err == f"fgl: invalid parameters: FGL_MAX_TERMS must be an integer, got {got}\n"
+            assert len(err) < 200
 
 
 def test_out_file(tmp_path, capsys):

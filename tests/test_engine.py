@@ -9,6 +9,7 @@ from hondafgl.engine import (
     coefficient_table,
     extend,
     initial_fgl,
+    law_p_series,
     p_series,
     verify_degree_bound,
     vs_regrade,
@@ -129,6 +130,25 @@ def test_unit_commutativity_grading(p, s, level):
         assert square == {(j, i): c for (i, j), c in square.items()}
         assert all(e[1] < cap for e in terms)
         assert all((i + j - 1) % d == 0 for (i, j) in terms)
+
+
+@pytest.mark.parametrize("p,s,level", [(2, 2, 7), (3, 2, 5)])
+def test_deep_tower_passes_its_intrinsic_certificates(p, s, level):
+    # past the goldens and the oracle's reach: checks that need no other code
+    params = FglParams(p, s)
+    tower = build_tower(params, level)
+    top = tower[-1]
+    terms = top.poly.terms
+    assert all(terms.get((j, i)) == c for (i, j), c in terms.items() if i < top.y_cap)
+    assert verify_degree_bound(top).passed
+    vs_regrade(top)
+    for lower, upper in zip(tower, tower[1:]):
+        assert upper.poly.truncate(TruncationPolicy(caps={"y": lower.y_cap})) == lower.poly
+    k = 1
+    while p ** (k * s) < top.y_cap:  # [p^k](x) = x^(p^(ks)) below the validity bound
+        assert law_p_series(top.poly, k, top.y_cap) == SparsePoly(("x",), params.fp, {(p ** (k * s),): 1})
+        k += 1
+    assert k > 2
 
 
 def test_extend_rejects_bad_towers():

@@ -298,6 +298,61 @@ def test_substitute_domain_mismatch():
         template.substitute({"a": x, "b": x})
 
 
+# ---- powers: over F_p a p^r-th power only scales exponents ---------------------
+
+# Every variable is capped, so the reference stays small up to k = 342; the
+# first two bind x and y hardest, the third binds only the total degree.
+POWER_CAPS = (
+    TruncationPolicy(caps={"x": 12, "y": 3, "z": 2}),
+    TruncationPolicy(caps={"x": 3, "y": 12, "z": 2}),
+    TruncationPolicy(total=10),
+)
+
+
+def naive_powers(f, top, trunc):
+    """f^0 .. f^top by repeated truncated mul: the reference for pow and substitute."""
+    out = [SparsePoly.one(f.variables, f.domain)]
+    for _ in range(top):
+        out.append(out[-1].mul(f, trunc))
+    return out
+
+
+def check_powers_against_repeated_mul(rng, domain, exponents):
+    for n in (1, 2, 3):
+        variables, names = ("x", "y", "z")[:n], ("a", "b", "c")[:n]
+        for trunc in POWER_CAPS:
+            # a unit constant term keeps the high powers from truncating to 0
+            one = SparsePoly.one(variables, domain)
+            images = [one + random_poly(rng, variables, domain, max_terms=4, max_exp=2) for _ in names]
+            naive = [naive_powers(img, max(exponents), trunc) for img in images]
+            for k in exponents:
+                assert images[0].pow(k, trunc) == naive[0][k], (images[0], k, trunc)
+            template = poly(names, domain, {tuple(rng.choice(exponents) for _ in names): rng.randint(1, 9) for _ in range(4)})
+            want = SparsePoly.zero(variables, domain)
+            for e, c in template.terms.items():
+                term = SparsePoly.one(variables, domain)
+                for col, k in zip(naive, e):
+                    term = term.mul(col[k], trunc)
+                want = want + term.scale(c)
+            got = template.substitute(dict(zip(names, images)), trunc)
+            assert got == want.truncate(trunc), (template, images, trunc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_frobenius_powers_match_repeated_mul(p):
+    rng = random.Random(p)
+    exponents = [0, 1, p - 1, p, p**2, p**2 + p - 1, rng.randrange(p**3)]
+    check_powers_against_repeated_mul(rng, prime_field(p), exponents)
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, RATIONALS])
+def test_powers_over_z_and_q_match_repeated_mul(domain):
+    # the exponents of the F_2 and F_3 cases: over Z and Q a p-th power is
+    # no twist, and these must come out as the plain repeated products
+    rng = random.Random(41)
+    check_powers_against_repeated_mul(rng, domain, [0, 1, 2, 3, 4, 5, 8, 9, 11, rng.randrange(27)])
+
+
 # ---- elementary symmetric -----------------------------------------------------
 
 
