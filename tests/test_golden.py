@@ -4,16 +4,19 @@ Each file under tests/golden/ is the stdout of `python -m hondafgl <argv>`:
 the first 17 entries were frozen at commit b26005e, before the CLI and the
 p-series were rewritten, the next 11 at commit c37dfb6, before the resource
 guards were merged into one, the next ones at commit 32d8eea, before each
-subcommand returned one payload for both output forms, and the last at
+subcommand returned one payload for both output forms, the next at
 commit e2eb7a8, before a p^r-th power over F_p became a scaling of its
-exponents.  The c37dfb6 entries are the determinism commands of
+exponents, and the last at commit 1dc5bf9, before the ring stopped
+re-validating the results of its own arithmetic and Witt powers became one
+big-int power each.  The c37dfb6 entries are the determinism commands of
 test_acceptance.py and towers deep enough to pin the ladder fold at ladder
 index j up to 3.  The 32d8eea entries add the forms no golden held yet and,
 in FAILING, the reports of a failed check: each reaches its exit-1 branch
 through one module attribute the CLI calls, patched to return the real
 report with one mismatch added.  The e2eb7a8 entry is (2,2) level 7, the
 deepest tower the code before it reached, in about 6 minutes on a 2-vCPU
-host.  A change to any of these outputs is a change of behaviour, not a
+host.  The 1dc5bf9 entries hold large negative Z coefficients (p 5, jmax 4),
+the Witt family at p 7, and products in six variables (chern at p 5).  A change to any of these outputs is a change of behaviour, not a
 refactor: the files are not to be regenerated to make this test pass.
 """
 
@@ -65,6 +68,10 @@ GOLDEN = {
     "compute-p2-s2-l2.json": "compute --p 2 --s 2 --level 2 --json",
     # frozen at e2eb7a8
     "compute-p2-s2-l7.txt": "compute --p 2 --s 2 --level 7",
+    # frozen at 1dc5bf9
+    "witt-p5-j4.json": "witt --p 5 --jmax 4 --json",
+    "witt-p7-j3.txt": "witt --p 7 --jmax 3",
+    "chern-p5-s2-k1.txt": "chern --p 5 --s 2 --k 1",
 }
 
 # frozen at 32d8eea; these exit 1: (argv, module, attribute, report field, value)
