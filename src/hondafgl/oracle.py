@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .engine import DEFAULT_MAX_Y_CAP, FglParams, TruncatedFgl, law_p_series
 from .errors import ParameterError, StructuralError, guard, shown
-from .ring import RATIONALS, SparsePoly, TruncationPolicy, _grlex_key
+from .ring import RATIONALS, SparsePoly, TruncationPolicy, _grlex_sorted
 
 VARS = ("x", "y")
 
@@ -132,7 +132,7 @@ def compare(engine_fgl: TruncatedFgl, oracle: OracleFgl) -> CompareReport:
     d = oracle.degree
     keys = set(engine_fgl.poly.terms) | set(oracle.poly_mod_p.terms)
     mismatches = []
-    for (i, j) in sorted(keys, key=_grlex_key):
+    for (i, j) in _grlex_sorted(keys):
         if i + j >= d or j >= y_cap:
             continue
         ec = engine_fgl.poly.coefficient((i, j))

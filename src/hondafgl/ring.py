@@ -13,6 +13,14 @@ everything built on products: powers, substitution, elementary symmetric
 polynomials) can be truncated on the fly by a `TruncationPolicy` carrying
 per-variable exponent caps and an optional total-degree cap, which keeps
 intermediate results small when working modulo y^N or modulo a total degree.
+A product sorts one factor by one capped weight, so each row of it stops at
+that cap by a bisection, and tests only the remaining caps pair by pair.
+
+Validation happens at the boundary: the constructor checks each variable
+tuple once (and remembers it), and every exponent and coefficient it is
+given.  Results of the ring's own arithmetic are right by construction, so
+they skip those checks; their coefficients are only reduced mod p over F_p,
+and zeros dropped.
 
 Over F_p, powers and substitution multiply only inside self^0 .. self^(p-1):
 a p^r-th power is a Frobenius twist, (sum c m)^(p^r) = sum c m^(p^r) since
@@ -26,8 +34,10 @@ broken so that higher powers of earlier variables come first.  Serialization
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Mapping, Sequence, Union
 
 from .errors import IntegralityError, ParameterError, StructuralError, shown
@@ -144,11 +154,14 @@ class TruncationPolicy:
 NO_TRUNCATION = TruncationPolicy()
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+_CHECKED: set[tuple[str, ...]] = set()  # variable tuples already validated
 
 
-def _grlex_key(e: Exponent):
+def _grlex_sorted(exponents) -> list[Exponent]:
     # ascending total degree, then higher powers of earlier variables first
-    return (sum(e), tuple(-x for x in e))
+    out = sorted(exponents, reverse=True)
+    out.sort(key=sum)
+    return out
 
 
 class SparsePoly:
@@ -158,13 +171,15 @@ class SparsePoly:
 
     def __init__(self, variables: Sequence[str], domain: Domain, terms: Mapping[Exponent, Coeff] | None = None):
         variables = tuple(variables)
-        if not variables:
-            raise StructuralError("variable set must be nonempty")
-        if len(set(variables)) != len(variables):
-            raise StructuralError(f"duplicate variable in {variables}")
-        for v in variables:
-            if not _NAME_RE.match(v):
-                raise StructuralError(f"invalid variable name {v!r}")
+        if variables not in _CHECKED:
+            if not variables:
+                raise StructuralError("variable set must be nonempty")
+            if len(set(variables)) != len(variables):
+                raise StructuralError(f"duplicate variable in {variables}")
+            for v in variables:
+                if not _NAME_RE.match(v):
+                    raise StructuralError(f"invalid variable name {v!r}")
+            _CHECKED.add(variables)
         clean: dict[Exponent, Coeff] = {}
         for e, c in (terms or {}).items():
             e = tuple(e)
@@ -181,6 +196,22 @@ class SparsePoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], domain: Domain, terms: dict) -> "SparsePoly":
+        """A result of the ring's own arithmetic, whose exponents are right by
+        construction and whose coefficients over Q are Fractions already:
+        `terms`, a dict no one else holds, is only reduced mod p in place over
+        F_p, and its zero coefficients are dropped."""
+        poly = cls(variables, domain)
+        if domain.kind == _FP:
+            p = domain.p
+            for e, c in terms.items():
+                terms[e] = c % p
+        for e in [e for e, c in terms.items() if not c]:
+            del terms[e]
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     # ---- constructors -------------------------------------------------
 
@@ -221,7 +252,7 @@ class SparsePoly:
 
     def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:
         """Terms in canonical graded-lex order."""
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))
+        return [(e, self.terms[e]) for e in _grlex_sorted(self.terms)]
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -236,16 +267,17 @@ class SparsePoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return SparsePoly(self.variables, self.domain, out)
+        return SparsePoly._trusted(self.variables, self.domain, out)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.variables, self.domain, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._trusted(self.variables, self.domain, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
     def scale(self, c) -> "SparsePoly":
-        return SparsePoly(self.variables, self.domain, {e: v * c for e, v in self.terms.items()})
+        c = self.domain.normalize(c)
+        return SparsePoly._trusted(self.variables, self.domain, {e: v * c for e, v in self.terms.items()})
 
     def mul(self, other: "SparsePoly", trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """Product with every monomial violating `trunc` dropped.
@@ -254,24 +286,23 @@ class SparsePoly:
         exactly and reduced once at the end.
         """
         self._check_compatible(other)
-        caps = tuple(trunc.caps.get(v) for v in self.variables) if trunc.caps else None
-        total = trunc.total
+        bounds = [(itemgetter(i), trunc.caps[v]) for i, v in enumerate(self.variables) if v in trunc.caps]
+        bounds += [(sum, trunc.total)] if trunc.total is not None else []
+        # other's terms ascend in the first bound's weight, so those that pass
+        # it with e1 are a prefix, found by one bisection
+        weight, bound = bounds.pop(0) if bounds else (sum, float("inf"))
+        rows = sorted(other.terms.items(), key=lambda t: weight(t[0]))
+        weights = [weight(e) for e, _ in rows]
         out: dict[Exponent, Coeff] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if total is not None and sum(e) >= total:
-                    continue
-                if caps is not None:
-                    violated = False
-                    for k, cap in zip(e, caps):
-                        if cap is not None and k >= cap:
-                            violated = True
-                            break
-                    if violated:
-                        continue
-                out[e] = out.get(e, 0) + c1 * c2
-        return SparsePoly(self.variables, self.domain, out)
+            for e2, c2 in rows[: bisect_left(weights, bound - weight(e1))]:
+                e = tuple(map(add, e1, e2))
+                for w, b in bounds:
+                    if w(e) >= b:
+                        break
+                else:
+                    out[e] = out.get(e, 0) + c1 * c2
+        return SparsePoly._trusted(self.variables, self.domain, out)
 
     def pow(self, exponent: int, trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """Repeated squaring, truncating after every product; over F_p, `_powers`."""
@@ -294,15 +325,20 @@ class SparsePoly:
         """self^factor over F_p, for a power `factor` of p, modulo `trunc`:
         (sum c m)^factor = sum c m^factor as c^p = c, so nothing is multiplied."""
         scaled = {tuple(k * factor for k in e): c for e, c in self.terms.items()}
-        return SparsePoly(self.variables, self.domain, scaled).truncate(trunc)
+        return SparsePoly._trusted(self.variables, self.domain, scaled).truncate(trunc)
 
     def _powers(self, trunc: TruncationPolicy):
-        """The map k -> self^k modulo `trunc`, over F_p: the product of the
-        twists (self^d)^(p^r) over the nonzero digits d of k = sum d p^r.
-        Each self^d (d < p) and each twist is made once, when first needed."""
+        """The map k -> self^k modulo `trunc`.  Over F_p, the product of the
+        twists (self^d)^(p^r) over the nonzero digits d of k = sum d p^r;
+        over Z and Q, self^(k-1) * self.  Each self^d (d < p over F_p) and
+        each twist is made once, when first needed."""
         p, digits, twists = self.domain.p, [SparsePoly.one(self.variables, self.domain)], {}
 
         def power(k: int) -> "SparsePoly":
+            if p is None:
+                while len(digits) <= k:
+                    digits.append(digits[-1].mul(self, trunc))
+                return digits[k]
             out, factor = None, 1
             while k:
                 k, d = divmod(k, p)
@@ -347,20 +383,12 @@ class SparsePoly:
         if first.domain != self.domain:
             raise StructuralError(f"image domain {first.domain} differs from template domain {self.domain}")
 
-        # cache img^k for every exponent k of each variable: by `_powers`
-        # over F_p, otherwise as img, img^2, ..., img^max
+        # img^k for every exponent k of each variable, each made once
         one = SparsePoly.one(first.variables, first.domain)
         powers: list = []
         for i, img in enumerate(images):
-            ks = {e[i] for e in self.terms}
-            if self.domain.kind == _FP:
-                power = img._powers(trunc)
-                powers.append({k: power(k) for k in ks})
-                continue
-            col = [one]
-            for _ in range(max(ks, default=0)):
-                col.append(col[-1].mul(img, trunc))
-            powers.append(col)
+            power = img._powers(trunc)
+            powers.append({k: power(k) for k in {e[i] for e in self.terms}})
 
         out: dict[Exponent, Coeff] = {}
         for e, c in self.terms.items():
@@ -370,7 +398,7 @@ class SparsePoly:
                     term = term.mul(powers[i][k], trunc)
             for te, tc in term.terms.items():
                 out[te] = out.get(te, 0) + tc * c
-        return SparsePoly(first.variables, first.domain, out).truncate(trunc)
+        return SparsePoly._trusted(first.variables, first.domain, out).truncate(trunc)
 
     def map_domain(self, target: Domain) -> "SparsePoly":
         """Coefficientwise image in another domain.
@@ -383,9 +411,8 @@ class SparsePoly:
             return self
         src, dst = self.domain.kind, target.kind
         out: dict[Exponent, Coeff] = {}
-        if src == _INT and dst == _FP:
-            for e, c in self.terms.items():
-                out[e] = c % target.p
+        if src == _INT and dst in (_FP, _RAT):
+            out = {e: target.normalize(c) for e, c in self.terms.items()}
         elif src == _RAT and dst == _FP:
             p = target.p
             for e, c in self.terms.items():
@@ -393,12 +420,10 @@ class SparsePoly:
                     raise IntegralityError(
                         f"coefficient {c} of monomial {e} has denominator divisible by {p}"
                     )
-                out[e] = c.numerator * pow(c.denominator, -1, p) % p
-        elif src == _INT and dst == _RAT:
-            out = dict(self.terms)
+                out[e] = c.numerator * pow(c.denominator, -1, p)
         else:
             raise StructuralError(f"unsupported domain conversion {self.domain} -> {target}")
-        return SparsePoly(self.variables, target, out)
+        return SparsePoly._trusted(self.variables, target, out)
 
     # ---- serialization -------------------------------------------------
 

@@ -9,6 +9,14 @@ and vanishes on both axes for j > 0.  The family is built by solving the
 defining identity for one w_n at a time; the division by p^n is certified
 exact coefficientwise, and the construction re-checks the identity for every
 n it claims, so a WittFamily is its own certificate.
+
+Because each w_j is homogeneous, its powers w_j^(p^(n-j)) are taken by
+Kronecker substitution (Harvey, J. Symbolic Comput. 2009): one big-int power
+of w_j(2^B, 1), read back as signed base-2^B digits, with B wide enough for
+the bound |coefficient| <= ||w_j||_1^k.  The digits are exact, so the powers
+are the ones repeated products give, and the certificate keeps its meaning:
+the solve still divides coefficient by coefficient and refuses an inexact
+division, and `verify` recomputes every power before it compares the sides.
 """
 
 from __future__ import annotations
@@ -30,6 +38,20 @@ def _power_sum(p: int, n: int) -> SparsePoly:
     return SparsePoly(VARS, INTEGERS, {(d, 0): 1, (0, d): 1})
 
 
+def _power(w: SparsePoly, k: int) -> SparsePoly:
+    """w^k for w homogeneous in (x, y) over Z, by Kronecker substitution:
+    w(2^B, 1)^k is one big-int power, whose signed base-2^B digits are the
+    coefficients of w^k.  Each is at most ||w||_1^k < 2^(B-1) in size, so
+    adding 2^(B-1) makes it an exact unsigned digit of the binary string."""
+    d = sum(next(iter(w.terms))) * k
+    width = (sum(map(abs, w.terms.values())) ** k).bit_length() + 1
+    half = 1 << width - 1
+    packed = sum(c << width * i for (i, _), c in w.terms.items()) ** k
+    bits = format(packed + int(("1" + "0" * (width - 1)) * (d + 1), 2), "b").zfill(width * (d + 1))
+    terms = {(d - j, j): int(bits[width * j : width * (j + 1)], 2) - half for j in range(d + 1)}
+    return SparsePoly._trusted(VARS, INTEGERS, terms)
+
+
 @dataclass(frozen=True)
 class WittFamily:
     """w_0 .. w_jmax over Z for one prime, identity-checked at construction."""
@@ -45,7 +67,7 @@ class WittFamily:
         """Both sides of the defining identity at level n, computed exactly."""
         rhs = SparsePoly.zero(VARS, INTEGERS)
         for j in range(n + 1):
-            rhs = rhs + self.polys[j].pow(self.p ** (n - j)).scale(self.p**j)
+            rhs = rhs + _power(self.polys[j], self.p ** (n - j)).scale(self.p**j)
         return _power_sum(self.p, n), rhs
 
     def verify(self) -> None:
@@ -72,7 +94,7 @@ def witt_family(p: int, jmax: int) -> WittFamily:
     for n in range(1, jmax + 1):
         residual = _power_sum(p, n)
         for j in range(n):
-            residual = residual - polys[j].pow(p ** (n - j)).scale(p**j)
+            residual = residual - _power(polys[j], p ** (n - j)).scale(p**j)
         divisor = p**n
         terms = {}
         for e, c in residual.terms.items():

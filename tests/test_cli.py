@@ -227,6 +227,9 @@ def test_largest_printable_multiplier(capsys):
         ("compute --p 2 --s 20000 --level 2", 3, "the y-cap of level 2 is 2^39998, beyond the limit 10000"),
         # a huge s: neither the y-cap q^2, nor the default D > p^s, nor the log's x^(p^s) is computed
         ("compute --p 2 --s HUGE --level 2", 3, "the y-cap of level 2 is 2^a number of 4000 digits, beyond the limit 10000"),
+        # at level 1 no y-cap is projected, but q = p^(s-1) is printed, or raised to the level
+        ("compute --p 2 --s HUGE --level 1", 3, "the y-cap of level 1 is 2^a number of 3999 digits, beyond the limit 10000"),
+        ("pseries --p 2 --s HUGE --level 1 --k 1", 3, "the y-cap of level 1 is 2^a number of 3999 digits, beyond the limit 10000"),
         ("verify --p 2 --s HUGE --level 1", 3, "the total degree D of the oracle exceeds p^s, which is 2^a number of 4000 digits, beyond the limit 10000"),
         ("oracle --p 2 --s HUGE --degree 5", 3, "the exponent p^s of the Honda logarithm is 2^a number of 4000 digits, beyond the limit 10000"),
         # k and jmax past 10^308 used to overflow a float in too_long_to_print

@@ -77,6 +77,8 @@ def test_prime_field_residues_canonical():
 def test_integer_domain_rejects_proper_fraction():
     with pytest.raises(StructuralError):
         poly(XY, INTEGERS, {(1, 0): Fraction(1, 2)})
+    with pytest.raises(StructuralError):
+        SparsePoly.one(XY, INTEGERS).scale(Fraction(1, 2))
     # integer-valued fractions are fine
     assert poly(XY, INTEGERS, {(1, 0): Fraction(4, 2)}).terms == {(1, 0): 2}
 
@@ -104,14 +106,13 @@ def test_graded_lex_order():
 
 
 def test_variable_validation():
-    with pytest.raises(StructuralError):
-        SparsePoly((), INTEGERS, {})
-    with pytest.raises(StructuralError):
-        SparsePoly(("x", "x"), INTEGERS, {})
-    with pytest.raises(StructuralError):
-        poly(XY, INTEGERS, {(1,): 1})  # wrong arity
-    with pytest.raises(StructuralError):
-        poly(XY, INTEGERS, {(-1, 0): 1})
+    for variables in ((), ("x", "x"), ("x", "2y"), ("x", "y z")):
+        for _ in range(2):  # a refused variable tuple is not remembered as checked
+            with pytest.raises(StructuralError):
+                SparsePoly(variables, INTEGERS, {})
+    for bad in ({(1,): 1}, {(1, 0, 0): 1}, {(-1, 0): 1}, {(1.0, 0): 1}):  # arity, sign, type
+        with pytest.raises(StructuralError):
+            poly(XY, INTEGERS, bad)
 
 
 # ---- add -------------------------------------------------------------------
@@ -241,6 +242,47 @@ def test_ring_axioms(domain):
         assert a.mul(b) == b.mul(a)
         assert a.mul(b).mul(c) == a.mul(b.mul(c))
         assert a.mul(b + c) == a.mul(b) + a.mul(c)
+
+
+# ---- results of the ring's own arithmetic are canonical -------------------------
+
+# Results skip the constructor's checks, so each must already be what the
+# validating constructor makes of it: residues in [0, p), no zero
+# coefficients, and the coefficient type of its domain.
+COEFF_TYPE = {"fp": int, "int": int, "rat": Fraction}
+CANONICAL_CAPS = (
+    NO_TRUNCATION,
+    TruncationPolicy(caps={"x": 3}),
+    TruncationPolicy(caps={"y": 4, "z": 2}),
+    TruncationPolicy(total=5),
+)
+
+
+def assert_canonical(r):
+    assert r == SparsePoly(r.variables, r.domain, r.terms), r
+    assert all(type(c) is COEFF_TYPE[r.domain.kind] for c in r.terms.values()), r
+
+
+@pytest.mark.parametrize("domain", [F2, prime_field(5), INTEGERS, RATIONALS], ids=str)
+def test_arithmetic_results_equal_their_validated_copies(domain):
+    rng = random.Random(str(domain))
+    for n in (1, 2, 3):
+        variables, names = ("x", "y", "z")[:n], ("a", "b", "c")[:n]
+        for trunc in CANONICAL_CAPS:
+            for _ in range(4):
+                f, g = (random_poly(rng, variables, domain, max_terms=5, max_exp=3) for _ in "fg")
+                results = [f.mul(g, trunc), f + g, f - g, f - f, f + f, -f, f.truncate(trunc)]
+                results += [f.scale(c) for c in (0, 1, -3, 5, Fraction(4, 2))]
+                results += [f.pow(k, trunc) for k in (0, 1, 2, 3, 5)]
+                images = {v: random_poly(rng, variables, domain, max_terms=3, max_exp=2) for v in names}
+                template = random_poly(rng, names, domain, max_terms=4, max_exp=3)
+                results.append(template.substitute(images, trunc))
+                if domain == INTEGERS:
+                    results += [f.map_domain(target) for target in (F2, prime_field(5), RATIONALS)]
+                if domain == RATIONALS and all(c.denominator % 5 for c in f.terms.values()):
+                    results.append(f.map_domain(prime_field(5)))
+                for r in results:
+                    assert_canonical(r)
 
 
 # ---- substitution ------------------------------------------------------------

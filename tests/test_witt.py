@@ -2,7 +2,7 @@ import pytest
 
 from hondafgl.errors import ParameterError, ResourceLimitError
 from hondafgl.ring import INTEGERS, SparsePoly, prime_field
-from hondafgl.witt import VARS, w1_closed_form, witt_family, witt_mod_p
+from hondafgl.witt import VARS, _power, w1_closed_form, witt_family, witt_mod_p
 
 
 # tiny independent arithmetic on {(i, j): coeff} dicts, used as the
@@ -84,6 +84,26 @@ def test_homogeneous_symmetric_vanishing(p, jmax):
         assert dict(w.terms) == {(k, i): c for (i, k), c in w.terms.items()}
         if j > 0:
             assert all(i > 0 and k > 0 for (i, k) in w.terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kronecker_power_equals_ring_pow(p):
+    # every w_j^(p^(n-j)), j <= n <= 3, that witt_family and verify take
+    fam = witt_family(p, 3)
+    for j, w in enumerate(fam.polys):
+        for n in range(j, 4):
+            k = p ** (n - j)
+            assert _power(w, k) == w.pow(k), (p, j, k)
+
+
+def test_kronecker_slot_width_is_tight():
+    # one term attains the bound |coeff| <= ||w||_1^k the width is chosen from
+    for c, k in [(1, 1), (1, 6), (2, 5), (3, 7), (-3, 8), (255, 3), (-256, 2)]:
+        w = SparsePoly(VARS, INTEGERS, {(2, 1): c})
+        assert _power(w, k) == w.pow(k) == SparsePoly(VARS, INTEGERS, {(2 * k, k): c**k})
+    w = SparsePoly(VARS, INTEGERS, {(3, 0): 7, (2, 1): -5, (0, 3): 9})
+    for k in range(7):
+        assert _power(w, k) == w.pow(k)
 
 
 def test_mod_p_reductions():
