@@ -13,8 +13,6 @@ everything built on products: powers, substitution, elementary symmetric
 polynomials) can be truncated on the fly by a `TruncationPolicy` carrying
 per-variable exponent caps and an optional total-degree cap, which keeps
 intermediate results small when working modulo y^N or modulo a total degree.
-A product sorts one factor by one capped weight, so each row of it stops at
-that cap by a bisection, and tests only the remaining caps pair by pair.
 
 Validation happens at the boundary: the constructor checks each variable
 tuple once (and remembers it), and every exponent and coefficient it is
@@ -199,10 +197,9 @@ class SparsePoly:
 
     @classmethod
     def _trusted(cls, variables: tuple[str, ...], domain: Domain, terms: dict) -> "SparsePoly":
-        """A result of the ring's own arithmetic, whose exponents are right by
-        construction and whose coefficients over Q are Fractions already:
-        `terms`, a dict no one else holds, is only reduced mod p in place over
-        F_p, and its zero coefficients are dropped."""
+        """A result of the ring's own arithmetic, right by construction but for
+        its coefficients: `terms`, a dict no one else holds, is reduced mod p
+        in place over F_p (over Q they are Fractions already), zeros dropped."""
         poly = cls(variables, domain)
         if domain.kind == _FP:
             p = domain.p

@@ -39,10 +39,8 @@ def _power_sum(p: int, n: int) -> SparsePoly:
 
 
 def _power(w: SparsePoly, k: int) -> SparsePoly:
-    """w^k for w homogeneous in (x, y) over Z, by Kronecker substitution:
-    w(2^B, 1)^k is one big-int power, whose signed base-2^B digits are the
-    coefficients of w^k.  Each is at most ||w||_1^k < 2^(B-1) in size, so
-    adding 2^(B-1) makes it an exact unsigned digit of the binary string."""
+    """w^k for w homogeneous in (x, y) over Z, by Kronecker substitution (see
+    above); 2^(B-1) added to each digit makes it an unsigned slice of bits."""
     d = sum(next(iter(w.terms))) * k
     width = (sum(map(abs, w.terms.values())) ** k).bit_length() + 1
     half = 1 << width - 1
