@@ -6,18 +6,22 @@ p-series were rewritten, the next 11 at commit c37dfb6, before the resource
 guards were merged into one, the next ones at commit 32d8eea, before each
 subcommand returned one payload for both output forms, the next at
 commit e2eb7a8, before a p^r-th power over F_p became a scaling of its
-exponents, and the last at commit 1dc5bf9, before the ring stopped
+exponents, the next at commit 1dc5bf9, before the ring stopped
 re-validating the results of its own arithmetic and Witt powers became one
-big-int power each.  The c37dfb6 entries are the determinism commands of
-test_acceptance.py and towers deep enough to pin the ladder fold at ladder
-index j up to 3.  The 32d8eea entries add the forms no golden held yet and,
+big-int power each, and the last at commit a993786, before the oracle's
+reversion and composition moved from Q to Z.  The c37dfb6 entries are the
+determinism commands of test_acceptance.py and towers deep enough to pin the
+ladder fold at ladder index j up to 3.  The 32d8eea entries add the forms no golden held yet and,
 in FAILING, the reports of a failed check: each reaches its exit-1 branch
 through one module attribute the CLI calls, patched to return the real
 report with one mismatch added.  The e2eb7a8 entry is (2,2) level 7, the
 deepest tower the code before it reached, in about 6 minutes on a 2-vCPU
 host.  The 1dc5bf9 entries hold large negative Z coefficients (p 5, jmax 4),
-the Witt family at p 7, and products in six variables (chern at p 5).  A change to any of these outputs is a change of behaviour, not a
-refactor: the files are not to be regenerated to make this test pass.
+the Witt family at p 7, and products in six variables (chern at p 5).  The
+a993786 entries hold the oracle's large rationals (p 2, s 2, D 65), height
+one (s 1, where q = p), and the deepest engine-vs-oracle overlap, (2,2)
+level 6 at D 97.  A change to any of these outputs is a change of behaviour,
+not a refactor: the files are not to be regenerated to make this test pass.
 """
 
 from dataclasses import replace
@@ -72,6 +76,11 @@ GOLDEN = {
     "witt-p5-j4.json": "witt --p 5 --jmax 4 --json",
     "witt-p7-j3.txt": "witt --p 7 --jmax 3",
     "chern-p5-s2-k1.txt": "chern --p 5 --s 2 --k 1",
+    # frozen at a993786
+    "oracle-p2-s2-d65.json": "oracle --p 2 --s 2 --degree 65 --json",
+    "oracle-p3-s2-d40.json": "oracle --p 3 --s 2 --degree 40 --json",
+    "oracle-p2-s1-d20.json": "oracle --p 2 --s 1 --degree 20 --json",
+    "verify-p2-s2-l6-d97.txt": "verify --p 2 --s 2 --level 6 --degree 97",
 }
 
 # frozen at 32d8eea; these exit 1: (argv, module, attribute, report field, value)
