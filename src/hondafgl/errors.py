@@ -96,8 +96,9 @@ def shown(n, power: tuple[int, int] | None = None) -> str:
 def too_long_to_print(p: int, k: int) -> bool:
     """Whether p^k (p >= 2) has more decimal digits than int-to-str converts.
 
-    Decided without computing p^k when it is far past the limit; such a
+    Decided from k*log10(p), exactly only within a digit of the limit; such a
     power also exceeds any limit `int` can parse from FGL_MAX_TERMS.
     """
     digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    return bool(digits) and (k > (digits + 1) / math.log10(p) or p**k >= 10**digits)
+    low, high = ((digits + d) / math.log10(p) for d in (-1, 1))
+    return bool(digits) and k > low and (k > high or p**k >= 10**digits)

@@ -6,10 +6,14 @@ law has logarithm l(x) = sum_{i>=0} x^(p^(s*i)) / p^i over Q, and
     F(x, y) = exp(l(x) + l(y)),    exp = compositional inverse of l,
 
 computed here modulo a *total* degree bound D with exact rational
-coefficients.  p-integrality of F (no denominator divisible by p) is checked
-before reducing mod p, so the mod-p image is exact.  Total-degree truncation
-(rather than y-only) is what makes a three-variable associativity check
-symmetric and finite.
+coefficients, by integer arithmetic: under x = p*t the logarithm becomes
+L(t) = l(pt)/p = sum_i p^(q^i - i - 1) t^(q^i) with q = p^s, integral and
+monic, so its inverse E is in Z[[t]] and F(x, y) = p*G(x/p, y/p) with
+G = E(L(u) + L(v)) in Z[[u, v]]: [x^i y^j] F = G_ij / p^(i+j-1), and the two
+truncations at total degree D agree.  p-integrality of F (no denominator
+divisible by p) is checked before reducing mod p, so the mod-p image is
+exact.  Total-degree truncation (rather than y-only) is what makes a
+three-variable associativity check symmetric and finite.
 
 Everything the recursion engine produces is validated against this oracle on
 the overlap region {x^i y^j : i + j < D, j < q^n}.
@@ -18,10 +22,11 @@ the overlap region {x^i y^j : i + j < D, j < q^n}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .engine import DEFAULT_MAX_Y_CAP, FglParams, TruncatedFgl, law_p_series
-from .errors import ParameterError, StructuralError, guard, shown
-from .ring import RATIONALS, SparsePoly, TruncationPolicy, _grlex_sorted
+from .errors import InternalConsistencyError, ParameterError, StructuralError, guard, shown
+from .ring import INTEGERS, RATIONALS, SparsePoly, TruncationPolicy, _grlex_sorted
 
 VARS = ("x", "y")
 
@@ -39,25 +44,31 @@ def honda_log(params: FglParams, degree: int) -> SparsePoly:
 
 
 def revert_series(f: SparsePoly, degree: int) -> SparsePoly:
-    """Compositional inverse g of f modulo x^degree, one coefficient at a time.
+    """Compositional inverse g of f modulo x^degree, over Z or Q, with no products.
 
-    Requires f = x + higher-order terms.  Maintains f(g) = x mod x^(d+1) as d
-    grows: the identity fails first in degree d by exactly the coefficient
-    [x^d] f(g), which the next correction -[x^d] f(g) * x^d cancels.
+    Requires f = x + sum_k c_k x^k.  Write g = x*u; each w = u^k obeys Miller's
+    power recurrence n*w_n = sum_{j=1..n} ((k+1)j - n) u_j w_(n-j) (Knuth,
+    TAOCP vol. 2, 4.7), and f(g) = x gives g_d = -sum_k c_k [x^(d-k)] u^k, which
+    needs u only below x^(d-1): each degree is solved online.  Over Z the
+    division by n must be exact; a remainder is an InternalConsistencyError.
     """
     _check_degree(degree)
-    if f.variables != ("x",) or f.domain != RATIONALS:
-        raise StructuralError("reversion expects a univariate series over Q in x")
+    if f.variables != ("x",) or f.domain not in (INTEGERS, RATIONALS):
+        raise StructuralError("reversion expects a univariate series over Z or Q in x")
     if f.coefficient((0,)) != 0 or f.coefficient((1,)) != 1:
         raise StructuralError(f"reversion needs f = x + O(x^2), got {f}")
-    x = SparsePoly.variable(("x",), RATIONALS, "x")
-    g = x
+    zero = f.domain.normalize(0)
+    c = {k: ck for (k,), ck in f.terms.items() if 1 < k < degree}
+    u, w = [1], {k: [1] for k in c}  # u[n] = [x^(n+1)] g; w[k][n] = [x^n] u^k
     for d in range(2, degree):
-        trunc = TruncationPolicy(caps={"x": d + 1})
-        err = f.substitute({"x": g}, trunc).coefficient((d,))
-        if err:
-            g = g - SparsePoly(("x",), RATIONALS, {(d,): err})
-    return g
+        for k in (k for k in c if k < d):
+            n = d - k
+            total = sum((((k + 1) * j - n) * u[j] * w[k][n - j] for j in range(1, n + 1)), zero)
+            w[k].append(total / n if f.domain == RATIONALS else total // n)
+            if w[k][n] * n != total:
+                raise InternalConsistencyError(f"[x^{n}] u^{k} = {total}/{n} is not integral")
+        u.append(-sum((ck * w[k][d - k] for k, ck in c.items() if k <= d), zero))
+    return SparsePoly(("x",), f.domain, {(n + 1,): un for n, un in enumerate(u)})
 
 
 @dataclass(frozen=True)
@@ -71,7 +82,7 @@ class OracleFgl:
 
 
 def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
-    """exp(log x + log y) modulo total degree, with the p-integrality check.
+    """exp(l(x) + l(y)) = p*G(x/p, y/p) modulo total degree, with the p-integrality check.
 
     An IntegralityError out of the mod-p reduction would falsify the whole
     construction and is deliberately not caught here.  The resource guard
@@ -81,12 +92,14 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
     _check_degree(degree)
     guard(degree, DEFAULT_MAX_Y_CAP, "the total degree D of the oracle")
     trunc = TruncationPolicy(total=degree)
-    log = honda_log(params, degree)
+    p = params.p
+    log = {e: c * p ** (e[0] - 1) for e, c in honda_log(params, degree).terms.items()}
+    log = SparsePoly(("x",), INTEGERS, log)  # L(t) = l(pt)/p
     exp = revert_series(log, degree)
-    x = SparsePoly.variable(VARS, RATIONALS, "x")
-    y = SparsePoly.variable(VARS, RATIONALS, "y")
-    log_sum = log.substitute({"x": x}, trunc) + log.substitute({"x": y}, trunc)
-    poly_rational = exp.substitute({"x": log_sum}, trunc)
+    u, v = (SparsePoly.variable(VARS, INTEGERS, name) for name in VARS)
+    log_sum = log.substitute({"x": u}, trunc) + log.substitute({"x": v}, trunc)
+    g = exp.substitute({"x": log_sum}, trunc)
+    poly_rational = SparsePoly(VARS, RATIONALS, {e: Fraction(c, p ** (sum(e) - 1)) for e, c in g.terms.items()})
     poly_mod_p = poly_rational.map_domain(params.fp)
     return OracleFgl(params, degree, poly_rational, poly_mod_p)
 

@@ -1,10 +1,13 @@
 import json
+import math
+import sys
 import time
 
 import pytest
 
 from hondafgl.cli import main
 from hondafgl.engine import FglParams, build_tower
+from hondafgl.errors import too_long_to_print
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +214,23 @@ def test_largest_printable_multiplier(capsys):
     status, out, err = run_cli(capsys, "pseries", "--p", "2", "--s", "2", "--level", "3", "--k", "14284")
     assert (status, err) == (0, "")
     assert f" multiplier={2**14284} " in out
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+@pytest.mark.parametrize("p", [2, 3, 7, 1_000_003])
+def test_too_long_to_print_is_exact_at_the_threshold(p, limit):
+    # the float estimate decides only away from the limit; near it the
+    # answer must be exactly p^k >= 10^limit, on both sides
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        k0 = int(limit / math.log10(p))
+        ks = range(k0 - 3, k0 + 4)
+        got = [too_long_to_print(p, k) for k in ks]
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert got == [p**k >= 10**limit for k in ks]
+    assert got[0] is False and got[-1] is True
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hondafgl.engine import FglParams, TruncatedFgl, build_tower
-from hondafgl.errors import ParameterError, StructuralError
+from hondafgl.errors import InternalConsistencyError, ParameterError, StructuralError
 from hondafgl.oracle import (
     check_associativity,
     compare,
@@ -14,7 +14,7 @@ from hondafgl.oracle import (
     oracle_p_series,
     revert_series,
 )
-from hondafgl.ring import RATIONALS, SparsePoly, TruncationPolicy, prime_field
+from hondafgl.ring import INTEGERS, RATIONALS, SparsePoly, TruncationPolicy, prime_field
 
 X = ("x",)
 XY = ("x", "y")
@@ -80,6 +80,34 @@ def test_revert_defining_property_random():
         assert g.substitute({"x": f}, trunc) == x
 
 
+def test_revert_over_z_equals_revert_over_q():
+    # a monic integer series has an integral inverse; Miller's recurrence
+    # finds the same one over Z, with exact divisions, as over Q
+    rng = random.Random(47)
+    d = 24
+    x = SparsePoly(X, INTEGERS, {(1,): 1})
+    trunc = TruncationPolicy(caps={"x": d})
+    for _ in range(8):
+        terms = {(1,): 1}
+        for k in range(2, d + 3):
+            if rng.random() < 0.5:
+                terms[(k,)] = rng.randint(-9, 9)
+        f = SparsePoly(X, INTEGERS, terms)
+        g = revert_series(f, d)
+        assert g.domain == INTEGERS
+        assert g.map_domain(RATIONALS) == revert_series(f.map_domain(RATIONALS), d)
+        assert f.substitute({"x": g}, trunc) == x
+        assert g.substitute({"x": f}, trunc) == x
+
+
+def test_revert_over_z_refuses_an_inexact_division():
+    # a half-integer smuggled past the constructor into a series over Z makes
+    # 2 * [x^2] u^3 = -3 odd; the quotient is refused, never floored
+    f = SparsePoly._trusted(X, INTEGERS, {(1,): 1, (3,): Fraction(1, 2)})
+    with pytest.raises(InternalConsistencyError):
+        revert_series(f, 6)
+
+
 def test_revert_rejects_bad_leading_terms():
     with pytest.raises(StructuralError):
         revert_series(qpoly(X, {(0,): 1, (1,): 1}), 5)
@@ -87,6 +115,8 @@ def test_revert_rejects_bad_leading_terms():
         revert_series(qpoly(X, {(1,): 2}), 5)
     with pytest.raises(StructuralError):
         revert_series(qpoly(XY, {(1, 0): 1}), 5)
+    with pytest.raises(StructuralError):
+        revert_series(SparsePoly(X, prime_field(2), {(1,): 1}), 5)
 
 
 # ---- the oracle law -----------------------------------------------------------------
@@ -137,6 +167,19 @@ def test_oracle_associativity_small(p, s, degree):
     assert check_associativity(oracle_fgl(FglParams(p, s), degree)).ok
 
 
+@pytest.mark.parametrize("p,s,degree", [(2, 2, 33), (3, 2, 28), (5, 2, 26), (2, 1, 12)])
+def test_oracle_law_has_the_honda_logarithm(p, s, degree):
+    # l(F(x, y)) = l(x) + l(y) mod total degree D, over Q: a certificate of
+    # the law that does not go through the substitution x = p*t
+    params = FglParams(p, s)
+    log = honda_log(params, degree)
+    trunc = TruncationPolicy(total=degree)
+    x, y = (SparsePoly.variable(XY, RATIONALS, name) for name in XY)
+    lhs = log.substitute({"x": oracle_fgl(params, degree).poly_rational}, trunc)
+    assert lhs == log.substitute({"x": x}, trunc) + log.substitute({"x": y}, trunc)
+    assert len(lhs.terms) > 2  # the check reaches past the linear terms
+
+
 def test_height_one_exploration():
     params = FglParams(2, 1)
     orc = oracle_fgl(params, 6)
@@ -154,6 +197,17 @@ def test_compare_empty_on_matching_pipelines():
     assert report.ok
     assert report.mismatches == ()
     assert "agree" in report.summary()
+
+
+@pytest.mark.parametrize("p,s,level,degree", [(2, 2, 6, 97), (3, 2, 4, 81), (2, 3, 3, 64)])
+def test_engine_equals_oracle_at_depth(p, s, level, degree):
+    # overlaps of D >= 64 at levels 3-6, beyond the criterion-3 grid
+    params = FglParams(p, s)
+    top = build_tower(params, level)[-1]
+    report = compare(top, oracle_fgl(params, degree))
+    assert report.ok, report.summary()
+    # the overlap holds mixed monomials, not only x + y
+    assert any(i and j and i + j < degree for i, j in top.poly.terms)
 
 
 def test_compare_detects_corruption():
