@@ -7,13 +7,7 @@ the engine sit the p-series, the degree-bound verifier, v_s regrading, and
 the Chern-class relation generator over F_p[u]/u^(p^(ks)).
 """
 
-from .chern import (
-    ChernRelationSet,
-    NilpotenceCertificate,
-    pk_nilpotence,
-    relation_set,
-    required_level,
-)
+from .chern import ChernRelationSet, relation_set, required_level
 from .engine import (
     DegreeBoundReport,
     FglParams,
@@ -35,7 +29,6 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
     StructuralError,
-    VacuityError,
 )
 from .oracle import (
     AssociativityReport,

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import FglParams, TruncatedFgl, _require_recursion_height, build_tower, p_series
-from .errors import ParameterError, VacuityError, guard, shown
+# p_series is imported only for perfbench/spans.py, which patches chern.p_series
+from .engine import FglParams, _require_recursion_height, build_tower, p_series
+from .errors import ParameterError, guard, shown
 from .ring import SparsePoly, TruncationPolicy, elementary_symmetric_all
 
 DEFAULT_MAX_TERMS = 10**7
@@ -39,40 +40,6 @@ def required_level(params: FglParams, k: int) -> int:
     n = -(-k * params.s // (params.s - 1))
     assert (params.s - 1) * n >= k * params.s  # q^n >= p^(ks), without the powers
     return n
-
-
-@dataclass(frozen=True)
-class NilpotenceCertificate:
-    """Witness that [p^k](u) = u^(p^(ks)) below the tower's validity bound."""
-
-    params: FglParams
-    k: int
-    level: int
-    valid_below: int
-    expected_exponent: int
-    pseries: SparsePoly
-
-    @property
-    def passed(self) -> bool:
-        return dict(self.pseries.terms) == {(self.expected_exponent,): 1}
-
-
-def pk_nilpotence(params: FglParams, k: int, tower: list[TruncatedFgl]) -> NilpotenceCertificate:
-    """Certify [p^k](u) = u^(p^(ks)) via the engine p-series.
-
-    The tower must satisfy q^n > p^(ks) strictly; at q^n = p^(ks) the
-    statement holds only modulo u^(p^(ks)) itself and the certificate would
-    be empty, so that case raises VacuityError instead of "passing".
-    """
-    n = len(tower)
-    expected = params.p ** (k * params.s)
-    if params.q**n <= expected:
-        raise VacuityError(
-            f"q^{n} = {params.q ** n} <= p^(ks) = {expected}: "
-            f"extend the tower past level {n} to make the certificate nonvacuous"
-        )
-    series = p_series(tower, k)
-    return NilpotenceCertificate(params, k, n, series.valid_below, expected, series.poly)
 
 
 @dataclass(frozen=True)

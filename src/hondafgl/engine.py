@@ -121,10 +121,10 @@ def extend(tower: Sequence[TruncatedFgl]) -> TruncatedFgl:
             )
         b[j] = bj
 
-    t = SparsePoly(VARS, params.fp, {(1, 0): 1, (0, 1): 1})
+    t = tower[0].poly  # x + y
     for j in range(1, n):
         t = tower[n - j].poly.substitute({"x": t, "y": b[j]}, trunc)
-    return TruncatedFgl(params, n + 1, (t + b[n]).truncate(trunc))
+    return TruncatedFgl(params, n + 1, t + b[n])
 
 
 def build_tower(params: FglParams, level: int) -> list[TruncatedFgl]:

@@ -40,11 +40,6 @@ class GradingError(FglError):
     coefficient ring."""
 
 
-class VacuityError(FglError):
-    """A certificate was requested at a truncation level too shallow to say
-    anything; the caller should extend the tower first."""
-
-
 class ResourceLimitError(FglError):
     """The resource guard tripped before a computation that would exceed
     desk scale.  `projected` carries the projected cost, or None where that

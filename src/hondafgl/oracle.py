@@ -38,7 +38,7 @@ def honda_log(params: FglParams, degree: int) -> SparsePoly:
     terms = {}
     i = 0
     while params.p ** (params.s * i) < degree:
-        terms[(params.p ** (params.s * i),)] = f"1/{params.p ** i}"
+        terms[(params.p ** (params.s * i),)] = Fraction(1, params.p**i)
         i += 1
     return SparsePoly(("x",), RATIONALS, terms)
 

@@ -20,9 +20,11 @@ given.  Results of the ring's own arithmetic are right by construction, so
 they skip those checks; their coefficients are only reduced mod p over F_p,
 and zeros dropped.
 
-Over F_p, powers and substitution multiply only inside self^0 .. self^(p-1):
-a p^r-th power is a Frobenius twist, (sum c m)^(p^r) = sum c m^(p^r) since
-c^p = c, so self^k is a product of twists, one per base-p digit of k.
+Every power, in `pow` and in substitution, goes through `_powers`.  Over Z
+and Q it forms the consecutive products self^k = self^(k-1) * self.  Over F_p
+it multiplies only inside self^0 .. self^(p-1): a p^r-th power is a Frobenius
+twist, (sum c m)^(p^r) = sum c m^(p^r) since c^p = c, so self^k is a product
+of twists, one per base-p digit of k.
 
 Canonical term order is graded-lexicographic: ascending total degree, ties
 broken so that higher powers of earlier variables come first.  Serialization
@@ -95,20 +97,17 @@ class Domain:
             raise StructuralError(f"domain {self.kind!r} takes no modulus")
 
     def normalize(self, c) -> Coeff:
-        """Bring a raw coefficient into canonical form for this domain."""
-        if self.kind == _FP:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise StructuralError(f"non-integer coefficient {c} in {self}")
-                c = c.numerator
-            return c % self.p
-        if self.kind == _INT:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise StructuralError(f"non-integer coefficient {c} over Z")
-                return c.numerator
-            return int(c)
-        return c if isinstance(c, Fraction) else Fraction(c)
+        """Bring a raw coefficient, an int or a Fraction, into canonical form
+        for this domain."""
+        if not isinstance(c, (int, Fraction)):
+            raise StructuralError(f"coefficient {c!r} is a {type(c).__name__}, not an int or a Fraction")
+        if self.kind == _RAT:
+            return c if isinstance(c, Fraction) else Fraction(c)
+        if isinstance(c, Fraction):
+            if c.denominator != 1:
+                raise StructuralError(f"non-integer coefficient {c} over {self}")
+            c = c.numerator
+        return c % self.p if self.kind == _FP else int(c)
 
     def to_json_dict(self) -> dict:
         if self.kind == _FP:
@@ -302,21 +301,11 @@ class SparsePoly:
         return SparsePoly._trusted(self.variables, self.domain, out)
 
     def pow(self, exponent: int, trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
-        """Repeated squaring, truncating after every product; over F_p, `_powers`."""
+        """self^exponent modulo `trunc`.  Every power goes through `_powers`:
+        twists over F_p, consecutive products over Z and Q."""
         if exponent < 0:
             raise StructuralError("negative exponent")
-        if self.domain.kind == _FP:
-            return self._powers(trunc)(exponent)
-        result = SparsePoly.one(self.variables, self.domain)
-        base = self.truncate(trunc)
-        e = exponent
-        while e:
-            if e & 1:
-                result = result.mul(base, trunc)
-            e >>= 1
-            if e:
-                base = base.mul(base, trunc)
-        return result
+        return self._powers(trunc)(exponent)
 
     def _twist(self, factor: int, trunc: TruncationPolicy) -> "SparsePoly":
         """self^factor over F_p, for a power `factor` of p, modulo `trunc`:
@@ -325,11 +314,11 @@ class SparsePoly:
         return SparsePoly._trusted(self.variables, self.domain, scaled).truncate(trunc)
 
     def _powers(self, trunc: TruncationPolicy):
-        """The map k -> self^k modulo `trunc`.  Over F_p, the product of the
-        twists (self^d)^(p^r) over the nonzero digits d of k = sum d p^r;
-        over Z and Q, self^(k-1) * self.  Each self^d (d < p over F_p) and
-        each twist is made once, when first needed."""
-        p, digits, twists = self.domain.p, [SparsePoly.one(self.variables, self.domain)], {}
+        """The map k -> self^k modulo `trunc`, with self^0 = 1 truncated too.
+        Over F_p, the product of the twists (self^d)^(p^r) over the nonzero
+        digits d of k = sum d p^r; over Z and Q, self^(k-1) * self.  Each
+        self^d (d < p over F_p) and each twist is made once, when first needed."""
+        p, digits, twists = self.domain.p, [SparsePoly.one(self.variables, self.domain).truncate(trunc)], {}
 
         def power(k: int) -> "SparsePoly":
             if p is None:
@@ -380,8 +369,8 @@ class SparsePoly:
         if first.domain != self.domain:
             raise StructuralError(f"image domain {first.domain} differs from template domain {self.domain}")
 
-        # img^k for every exponent k of each variable, each made once
-        one = SparsePoly.one(first.variables, first.domain)
+        # img^k for every exponent k of each variable, each made once and
+        # truncated, so every product below is too
         powers: list = []
         for i, img in enumerate(images):
             power = img._powers(trunc)
@@ -389,13 +378,13 @@ class SparsePoly:
 
         out: dict[Exponent, Coeff] = {}
         for e, c in self.terms.items():
-            term = one
-            for i, k in enumerate(e):
-                if k:
-                    term = term.mul(powers[i][k], trunc)
+            factors = [powers[i][k] for i, k in enumerate(e) if k] or [powers[0][0]]
+            term = factors[0]
+            for factor in factors[1:]:
+                term = term.mul(factor, trunc)
             for te, tc in term.terms.items():
                 out[te] = out.get(te, 0) + tc * c
-        return SparsePoly._trusted(first.variables, first.domain, out).truncate(trunc)
+        return SparsePoly._trusted(first.variables, first.domain, out)
 
     def map_domain(self, target: Domain) -> "SparsePoly":
         """Coefficientwise image in another domain.

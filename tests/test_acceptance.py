@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 
 import hondafgl
-from hondafgl.chern import pk_nilpotence, relation_set
+from hondafgl.chern import relation_set
 from hondafgl.engine import (
     FglParams,
     build_tower,
@@ -154,7 +154,7 @@ def test_criterion_08_grading():
 
 def test_criterion_09_chern_relations():
     with criterion(9, 10.0, "chern relations at (2,2,k=1): u=0 vanishing, permutation "
-                            "invariance, u-cap 4, product path; nilpotence certificate at n=3"):
+                            "invariance, u-cap 4, product path; [2](u) = u^4 below u^8 at n=3"):
         params = FglParams(2, 2)
         rels = relation_set(params, 1)
         assert rels.u_cap == 4
@@ -174,9 +174,9 @@ def test_criterion_09_chern_relations():
         f2 = top.substitute({"x": x2, "y": u}, trunc)
         assert rels.relations[-1] == f1.mul(f2, trunc) - x1.mul(x2, trunc)
 
-        cert = pk_nilpotence(params, 1, build_tower(params, 3))
-        assert cert.level == 3
-        assert cert.passed
+        series = p_series(build_tower(params, 3), 1)
+        assert series.valid_below == 8
+        assert series.poly == SparsePoly(("x",), fp, {(4,): 1})
 
 
 DETERMINISM_COMMANDS = [

@@ -1,9 +1,9 @@
 
 import pytest
 
-from hondafgl.chern import pk_nilpotence, relation_set, required_level
+from hondafgl.chern import relation_set, required_level
 from hondafgl.engine import FglParams, build_tower
-from hondafgl.errors import ParameterError, ResourceLimitError, VacuityError
+from hondafgl.errors import ParameterError, ResourceLimitError
 from hondafgl.ring import SparsePoly, TruncationPolicy, prime_field
 
 
@@ -26,33 +26,6 @@ def test_required_level_is_minimal():
         n = required_level(params, k)
         assert params.q**n >= p ** (k * s)
         assert params.q ** (n - 1) < p ** (k * s)
-
-
-# ---- nilpotence certificate ---------------------------------------------------
-
-
-def test_pk_nilpotence_p2_s2_level3():
-    params = FglParams(2, 2)
-    cert = pk_nilpotence(params, 1, build_tower(params, 3))
-    assert cert.passed
-    assert cert.expected_exponent == 4
-    assert cert.valid_below == 8
-
-
-def test_pk_nilpotence_trivial_k0():
-    params = FglParams(2, 2)
-    cert = pk_nilpotence(params, 0, build_tower(params, 1))
-    assert cert.passed
-    assert cert.expected_exponent == 1
-
-
-def test_pk_nilpotence_vacuous_boundary():
-    # q^n = 9 = p^(ks): nothing survives below the bound, so refuse
-    params = FglParams(3, 2)
-    with pytest.raises(VacuityError):
-        pk_nilpotence(params, 1, build_tower(params, 2))
-    cert = pk_nilpotence(params, 1, build_tower(params, 3))
-    assert cert.passed
 
 
 # ---- relation generation ---------------------------------------------------------

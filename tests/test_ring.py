@@ -83,6 +83,16 @@ def test_integer_domain_rejects_proper_fraction():
     assert poly(XY, INTEGERS, {(1, 0): Fraction(4, 2)}).terms == {(1, 0): 2}
 
 
+@pytest.mark.parametrize("domain", [prime_field(5), INTEGERS, RATIONALS], ids=str)
+def test_coefficients_must_be_int_or_fraction(domain):
+    # a float or a str used to be stored, rounded or parsed, or to fail in `%`
+    for bad in (1.5, 2.0, "1", "1/2"):
+        with pytest.raises(StructuralError, match=type(bad).__name__):
+            poly(XY, domain, {(1, 0): bad})
+        with pytest.raises(StructuralError, match=type(bad).__name__):
+            SparsePoly.one(XY, domain).scale(bad)
+
+
 def test_domain_str():
     assert str(F2) == "F_2"
     assert str(INTEGERS) == "Z"
@@ -255,6 +265,8 @@ CANONICAL_CAPS = (
     TruncationPolicy(caps={"x": 3}),
     TruncationPolicy(caps={"y": 4, "z": 2}),
     TruncationPolicy(total=5),
+    TruncationPolicy(total=0),
+    TruncationPolicy(caps={"y": 0}),
 )
 
 
@@ -343,17 +355,21 @@ def test_substitute_domain_mismatch():
 # ---- powers: over F_p a p^r-th power only scales exponents ---------------------
 
 # Every variable is capped, so the reference stays small up to k = 342; the
-# first two bind x and y hardest, the third binds only the total degree.
+# first two bind x and y hardest, the third binds only the total degree.  The
+# last two leave nothing, not even f^0 = 1 (in two or three variables for the
+# y-cap).
 POWER_CAPS = (
     TruncationPolicy(caps={"x": 12, "y": 3, "z": 2}),
     TruncationPolicy(caps={"x": 3, "y": 12, "z": 2}),
     TruncationPolicy(total=10),
+    TruncationPolicy(total=0),
+    TruncationPolicy(caps={"y": 0}),
 )
 
 
 def naive_powers(f, top, trunc):
     """f^0 .. f^top by repeated truncated mul: the reference for pow and substitute."""
-    out = [SparsePoly.one(f.variables, f.domain)]
+    out = [SparsePoly.one(f.variables, f.domain).truncate(trunc)]
     for _ in range(top):
         out.append(out[-1].mul(f, trunc))
     return out
