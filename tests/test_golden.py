@@ -8,10 +8,11 @@ subcommand returned one payload for both output forms, the next at
 commit e2eb7a8, before a p^r-th power over F_p became a scaling of its
 exponents, the next at commit 1dc5bf9, before the ring stopped
 re-validating the results of its own arithmetic and Witt powers became one
-big-int power each, and the last at commit a993786, before the oracle's
-reversion and composition moved from Q to Z.  The c37dfb6 entries are the
-determinism commands of test_acceptance.py and towers deep enough to pin the
-ladder fold at ladder index j up to 3.  The 32d8eea entries add the forms no golden held yet and,
+big-int power each, the next at commit a993786, before the oracle's
+reversion and composition moved from Q to Z, and the last at commit
+b0f1d1b, before the oracle composed E(L(u) + L(v)) by the binomial theorem.
+The c37dfb6 entries are the determinism commands of test_acceptance.py and
+towers deep enough to pin the ladder fold at ladder index j up to 3.  The 32d8eea entries add the forms no golden held yet and,
 in FAILING, the reports of a failed check: each reaches its exit-1 branch
 through one module attribute the CLI calls, patched to return the real
 report with one mismatch added.  The e2eb7a8 entry is (2,2) level 7, the
@@ -20,7 +21,8 @@ host.  The 1dc5bf9 entries hold large negative Z coefficients (p 5, jmax 4),
 the Witt family at p 7, and products in six variables (chern at p 5).  The
 a993786 entries hold the oracle's large rationals (p 2, s 2, D 65), height
 one (s 1, where q = p), and the deepest engine-vs-oracle overlap, (2,2)
-level 6 at D 97.  A change to any of these outputs is a change of behaviour,
+level 6 at D 97.  The b0f1d1b entry is that overlap one level deeper, (2,2)
+level 7 at D 129.  A change to any of these outputs is a change of behaviour,
 not a refactor: the files are not to be regenerated to make this test pass.
 """
 
@@ -81,6 +83,8 @@ GOLDEN = {
     "oracle-p3-s2-d40.json": "oracle --p 3 --s 2 --degree 40 --json",
     "oracle-p2-s1-d20.json": "oracle --p 2 --s 1 --degree 20 --json",
     "verify-p2-s2-l6-d97.txt": "verify --p 2 --s 2 --level 6 --degree 97",
+    # frozen at b0f1d1b
+    "verify-p2-s2-l7-d129.txt": "verify --p 2 --s 2 --level 7 --degree 129",
 }
 
 # frozen at 32d8eea; these exit 1: (argv, module, attribute, report field, value)
