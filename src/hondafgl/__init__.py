@@ -52,6 +52,6 @@ from .ring import (
     elementary_symmetric_all,
     prime_field,
 )
-from .witt import WittFamily, w1_closed_form, witt_family, witt_mod_p
+from .witt import WittFamily, witt_family, witt_mod_p
 
 __version__ = "0.1.0"

@@ -10,10 +10,17 @@ coefficients, by integer arithmetic: under x = p*t the logarithm becomes
 L(t) = l(pt)/p = sum_i p^(q^i - i - 1) t^(q^i) with q = p^s, integral and
 monic, so its inverse E is in Z[[t]] and F(x, y) = p*G(x/p, y/p) with
 G = E(L(u) + L(v)) in Z[[u, v]]: [x^i y^j] F = G_ij / p^(i+j-1), and the two
-truncations at total degree D agree.  p-integrality of F (no denominator
-divisible by p) is checked before reducing mod p, so the mod-p image is
-exact.  Total-degree truncation (rather than y-only) is what makes a
-three-variable associativity check symmetric and finite.
+truncations at total degree D agree.  G is composed by the binomial theorem,
+with univariate powers only: (L(u) + L(v))^k = sum_j C(k, j) L(u)^j L(v)^(k-j),
+so with e_k = [t^k] E,
+
+    G(u, v) = sum_j L(u)^j R_j(v),    R_j = sum_l e_(j+l) C(j+l, j) L^l.
+
+Cutting every series below t^D and G to a + b < D is exact: L = t + O(t^2),
+so L^j starts at t^j and nothing cut reaches a + b < D.  p-integrality of F
+(no denominator divisible by p) is checked before reducing mod p, so the
+mod-p image is exact.  Total-degree truncation (rather than y-only) is what
+makes a three-variable associativity check symmetric and finite.
 
 Everything the recursion engine produces is validated against this oracle on
 the overlap region {x^i y^j : i + j < D, j < q^n}.
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .engine import DEFAULT_MAX_Y_CAP, FglParams, TruncatedFgl, law_p_series
 from .errors import InternalConsistencyError, ParameterError, StructuralError, guard, shown
@@ -84,6 +92,11 @@ class OracleFgl:
 def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
     """exp(l(x) + l(y)) = p*G(x/p, y/p) modulo total degree, with the p-integrality check.
 
+    G_ab = sum_j [t^a] L^j * [t^b] R_j over a + b < D, from the powers L^j
+    (j < D) alone.  The cut is exact: L^j starts at t^j, so the k-th term of
+    E(L(u) + L(v)) and the t^c term of any L^j or R_j reach only total
+    degree >= k and >= c.
+
     An IntegralityError out of the mod-p reduction would falsify the whole
     construction and is deliberately not caught here.  The resource guard
     refuses a degree D beyond DEFAULT_MAX_Y_CAP: D bounds the same bivariate
@@ -96,10 +109,21 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
     log = {e: c * p ** (e[0] - 1) for e, c in honda_log(params, degree).terms.items()}
     log = SparsePoly(("x",), INTEGERS, log)  # L(t) = l(pt)/p
     exp = revert_series(log, degree)
-    u, v = (SparsePoly.variable(VARS, INTEGERS, name) for name in VARS)
-    log_sum = log.substitute({"x": u}, trunc) + log.substitute({"x": v}, trunc)
-    g = exp.substitute({"x": log_sum}, trunc)
-    poly_rational = SparsePoly(VARS, RATIONALS, {e: Fraction(c, p ** (sum(e) - 1)) for e, c in g.terms.items()})
+    power = log._powers(trunc)
+    powers = [power(j).terms for j in range(degree)]  # L^j mod t^D
+    g: dict = {}
+    for j, lj in enumerate(powers):
+        r: dict = {}  # R_j = sum_l e_(j+l) C(j+l, j) L^l, below t^(D-j)
+        for (k,), ek in exp.terms.items():
+            c = ek * comb(k, j) if k >= j else 0
+            for (b,), cb in powers[k - j].items() if c else ():
+                if b < degree - j:
+                    r[b] = r.get(b, 0) + c * cb
+        for (a,), ca in lj.items():
+            for b, rb in r.items():
+                if a + b < degree:
+                    g[a, b] = g.get((a, b), 0) + ca * rb
+    poly_rational = SparsePoly(VARS, RATIONALS, {e: Fraction(c, p ** (sum(e) - 1)) for e, c in g.items()})
     poly_mod_p = poly_rational.map_domain(params.fp)
     return OracleFgl(params, degree, poly_rational, poly_mod_p)
 

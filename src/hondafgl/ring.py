@@ -414,31 +414,22 @@ class SparsePoly:
     # ---- serialization -------------------------------------------------
 
     def to_text(self) -> str:
-        """Human-readable form, e.g. 'x^3*y + x*y^3', in canonical order."""
+        """Human-readable form, e.g. 'x^3*y + x*y^3', in canonical order.  Each
+        factor string '*v^k' is built once per call, in a table per variable."""
         if not self.terms:
             return "0"
+        terms = self.terms
+        names = [
+            {k: "" if k == 0 else f"*{v}" if k == 1 else f"*{v}^{k}" for k in {e[i] for e in terms}}
+            for i, v in enumerate(self.variables)
+        ]
         chunks = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for v, k in zip(self.variables, e):
-                if k == 1:
-                    factors.append(v)
-                elif k > 1:
-                    factors.append(f"{v}^{k}")
-            negative = c < 0
-            mag = -c if negative else c
-            if factors and mag == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([str(mag)] + factors)
-            else:
-                body = str(mag)
-            chunks.append((negative, body))
-        neg, body = chunks[0]
-        text = ("-" if neg else "") + body
-        for neg, body in chunks[1:]:
-            text += (" - " if neg else " + ") + body
-        return text
+        for e in _grlex_sorted(terms):
+            c, mono = terms[e], "".join([n[k] for n, k in zip(names, e)])
+            chunks.append(" - " if c < 0 else " + ")
+            chunks.append(mono[1:] if mono and abs(c) == 1 else f"{abs(c)}{mono}")
+        chunks[0] = "-" if chunks[0] == " - " else ""
+        return "".join(chunks)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -21,7 +21,6 @@ division, and `verify` recomputes every power before it compares the sides.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError, ParameterError, guard, shown
@@ -111,9 +110,3 @@ def witt_mod_p(family: WittFamily) -> list[SparsePoly]:
     """Coefficientwise reductions w_j mod p, over F_p."""
     fp = prime_field(family.p)
     return [w.map_domain(fp) for w in family.polys]
-
-
-def w1_closed_form(p: int) -> SparsePoly:
-    """w_1 = -(1/p) * sum_{0<j<p} C(p,j) x^j y^(p-j), used as a cross-check."""
-    terms = {(j, p - j): -(math.comb(p, j) // p) for j in range(1, p)}
-    return SparsePoly(VARS, INTEGERS, terms)

@@ -180,6 +180,28 @@ def test_oracle_law_has_the_honda_logarithm(p, s, degree):
     assert len(lhs.terms) > 2  # the check reaches past the linear terms
 
 
+def bivariate_composition(params, degree):
+    """F as the oracle composed it before the binomial form: E(L(u) + L(v))
+    by substitution into the bivariate powers of L(u) + L(v), over Z, then
+    [x^i y^j] F = G_ij / p^(i+j-1)."""
+    p = params.p
+    trunc = TruncationPolicy(total=degree)
+    log = {e: c * p ** (e[0] - 1) for e, c in honda_log(params, degree).terms.items()}
+    log = SparsePoly(X, INTEGERS, log)
+    exp = revert_series(log, degree)
+    u, v = (SparsePoly.variable(XY, INTEGERS, name) for name in XY)
+    log_sum = log.substitute({"x": u}, trunc) + log.substitute({"x": v}, trunc)
+    g = exp.substitute({"x": log_sum}, trunc)
+    return qpoly(XY, {e: Fraction(c, p ** (sum(e) - 1)) for e, c in g.terms.items()})
+
+
+@pytest.mark.parametrize("p,s,degree", [(2, 1, 20), (2, 2, 65), (3, 2, 40), (5, 2, 30), (2, 3, 33)])
+def test_binomial_composition_equals_bivariate_substitution(p, s, degree):
+    # s = 1 makes L dense (q - 1 = 1), so every power of L meets every degree
+    params = FglParams(p, s)
+    assert oracle_fgl(params, degree).poly_rational == bivariate_composition(params, degree)
+
+
 def test_height_one_exploration():
     params = FglParams(2, 1)
     orc = oracle_fgl(params, 6)
@@ -199,9 +221,12 @@ def test_compare_empty_on_matching_pipelines():
     assert "agree" in report.summary()
 
 
-@pytest.mark.parametrize("p,s,level,degree", [(2, 2, 6, 97), (3, 2, 4, 81), (2, 3, 3, 64)])
+@pytest.mark.parametrize(
+    "p,s,level,degree",
+    [(2, 2, 6, 97), (3, 2, 4, 81), (2, 3, 3, 64), (2, 2, 7, 129), (3, 2, 5, 243)],
+)
 def test_engine_equals_oracle_at_depth(p, s, level, degree):
-    # overlaps of D >= 64 at levels 3-6, beyond the criterion-3 grid
+    # overlaps of D >= 64 at levels 3-7, beyond the criterion-3 grid
     params = FglParams(p, s)
     top = build_tower(params, level)[-1]
     report = compare(top, oracle_fgl(params, degree))

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
 from hondafgl.errors import ParameterError, ResourceLimitError
 from hondafgl.ring import INTEGERS, SparsePoly, prime_field
-from hondafgl.witt import VARS, _power, w1_closed_form, witt_family, witt_mod_p
+from hondafgl.witt import VARS, _power, witt_family, witt_mod_p
 
 
 # tiny independent arithmetic on {(i, j): coeff} dicts, used as the
@@ -32,6 +34,12 @@ def _pow(a, e):
     for _ in range(e):
         out = _mul(out, a)
     return out
+
+
+def w1_closed_form(p):
+    """w_1 = -(1/p) * sum_{0<j<p} C(p,j) x^j y^(p-j), used as a cross-check."""
+    terms = {(j, p - j): -(math.comb(p, j) // p) for j in range(1, p)}
+    return SparsePoly(VARS, INTEGERS, terms)
 
 
 def test_w0_is_x_plus_y():
