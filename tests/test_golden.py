@@ -9,8 +9,9 @@ commit e2eb7a8, before a p^r-th power over F_p became a scaling of its
 exponents, the next at commit 1dc5bf9, before the ring stopped
 re-validating the results of its own arithmetic and Witt powers became one
 big-int power each, the next at commit a993786, before the oracle's
-reversion and composition moved from Q to Z, and the last at commit
-b0f1d1b, before the oracle composed E(L(u) + L(v)) by the binomial theorem.
+reversion and composition moved from Q to Z, the next at commit
+b0f1d1b, before the oracle composed E(L(u) + L(v)) by the binomial theorem,
+and the last at commit 16fdaaf, before the records became named tuples.
 The c37dfb6 entries are the determinism commands of test_acceptance.py and
 towers deep enough to pin the ladder fold at ladder index j up to 3.  The 32d8eea entries add the forms no golden held yet and,
 in FAILING, the reports of a failed check: each reaches its exit-1 branch
@@ -22,7 +23,8 @@ the Witt family at p 7, and products in six variables (chern at p 5).  The
 a993786 entries hold the oracle's large rationals (p 2, s 2, D 65), height
 one (s 1, where q = p), and the deepest engine-vs-oracle overlap, (2,2)
 level 6 at D 97.  The b0f1d1b entry is that overlap one level deeper, (2,2)
-level 7 at D 129.  A change to any of these outputs is a change of behaviour,
+level 7 at D 129.  The 16fdaaf entry is (2,2) level 8, the first tower
+deeper than the e2eb7a8 one.  A change to any of these outputs is a change of behaviour,
 not a refactor: the files are not to be regenerated to make this test pass.
 """
 
@@ -85,6 +87,8 @@ GOLDEN = {
     "verify-p2-s2-l6-d97.txt": "verify --p 2 --s 2 --level 6 --degree 97",
     # frozen at b0f1d1b
     "verify-p2-s2-l7-d129.txt": "verify --p 2 --s 2 --level 7 --degree 129",
+    # frozen at 16fdaaf
+    "compute-p2-s2-l8.txt": "compute --p 2 --s 2 --level 8",
 }
 
 # frozen at 32d8eea; these exit 1: (argv, module, attribute, report field, value)
