@@ -17,7 +17,7 @@ completeness of the relation list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # p_series is imported only for perfbench/spans.py, which patches chern.p_series
 from .engine import FglParams, _require_recursion_height, build_tower, p_series
@@ -42,8 +42,7 @@ def required_level(params: FglParams, k: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ChernRelationSet:
+class ChernRelationSet(NamedTuple):
     """The relations sigma_i(F(x_1,u),..) - sigma_i(x_1,..), i = 1 .. m = p^k."""
 
     params: FglParams

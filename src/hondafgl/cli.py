@@ -16,7 +16,6 @@ and writes it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import chern as chern_mod
@@ -250,6 +249,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fgl: error: {exc}", file=sys.stderr)
         return 2
     if args.json:
+        import json  # only --json uses it; a text run does not load it
+
         lines = [json.dumps(payload, separators=(",", ":"), default=SparsePoly.to_json_dict) + "\n"]
     else:
         # written one at a time, so no more than one line's text is held

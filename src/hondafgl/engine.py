@@ -34,8 +34,7 @@ reconstruction of v_s exponents from homogeneity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     GradingError,
@@ -53,8 +52,7 @@ VARS = ("x", "y")
 DEFAULT_MAX_Y_CAP = 10**4
 
 
-@dataclass(frozen=True)
-class FglParams:
+class FglParams(NamedTuple("FglParams", [("p", int), ("s", int)])):
     """Prime p and height s; q = p^(s-1) is always derived, never stored.
 
     s = 1 is accepted, for the rational-logarithm oracle; the truncation
@@ -62,14 +60,14 @@ class FglParams:
     and refuses it where it starts.
     """
 
-    p: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ParameterError(f"p must be prime, got {shown(self.p)}")
-        if not isinstance(self.s, int) or self.s < 1:
-            raise ParameterError(f"s must be a positive integer, got {shown(self.s)}")
+    def __new__(cls, p: int, s: int):
+        if not isinstance(p, int) or not _is_prime(p):
+            raise ParameterError(f"p must be prime, got {shown(p)}")
+        if not isinstance(s, int) or s < 1:
+            raise ParameterError(f"s must be a positive integer, got {shown(s)}")
+        return super().__new__(cls, p, s)
 
     @property
     def q(self) -> int:
@@ -80,8 +78,7 @@ class FglParams:
         return prime_field(self.p)
 
 
-@dataclass(frozen=True)
-class TruncatedFgl:
+class TruncatedFgl(NamedTuple):
     """F(x, y) known exactly modulo y^(q^level), as a polynomial over F_p."""
 
     params: FglParams
@@ -155,8 +152,7 @@ def coefficient_table(f: TruncatedFgl) -> dict[int, SparsePoly]:
     return {l: SparsePoly(x_only, fp, rows[l]) for l in range(f.y_cap)}
 
 
-@dataclass(frozen=True)
-class DegreeBoundReport:
+class DegreeBoundReport(NamedTuple):
     """Outcome of the x-degree bound check, with the observed maxima.
 
     `windows` maps m to (largest x-exponent seen among terms with y-exponent
@@ -192,8 +188,7 @@ def verify_degree_bound(f: TruncatedFgl) -> DegreeBoundReport:
     return DegreeBoundReport(f.params, f.level, tuple(sorted(violations)), windows)
 
 
-@dataclass(frozen=True)
-class PSeries:
+class PSeries(NamedTuple):
     """[p^k](x) as a polynomial over F_p, meaningful only below x^valid_below."""
 
     params: FglParams

@@ -28,9 +28,9 @@ the overlap region {x^i y^j : i + j < D, j < q^n}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .engine import DEFAULT_MAX_Y_CAP, FglParams, TruncatedFgl, law_p_series
 from .errors import InternalConsistencyError, ParameterError, StructuralError, guard, shown
@@ -79,8 +79,7 @@ def revert_series(f: SparsePoly, degree: int) -> SparsePoly:
     return SparsePoly(("x",), f.domain, {(n + 1,): un for n, un in enumerate(u)})
 
 
-@dataclass(frozen=True)
-class OracleFgl:
+class OracleFgl(NamedTuple):
     """F over Q modulo total degree `degree`, plus its mod-p image."""
 
     params: FglParams
@@ -133,8 +132,7 @@ def oracle_p_series(oracle: OracleFgl, k: int = 1) -> SparsePoly:
     return law_p_series(oracle.poly_mod_p, k, oracle.degree)
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     """Termwise engine-vs-oracle comparison on the overlap region."""
 
     params: FglParams
@@ -188,8 +186,7 @@ def default_compare_degree(params: FglParams, level: int) -> int:
     return max(params.p**params.s + 1, params.q**level)
 
 
-@dataclass(frozen=True)
-class AssociativityReport:
+class AssociativityReport(NamedTuple):
     params: FglParams
     degree: int
     mismatches: tuple[tuple[int, int, int], ...]

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, itemgetter
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import IntegralityError, ParameterError, StructuralError, shown
 
@@ -80,21 +79,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple("Domain", [("kind", str), ("p", int | None)])):
     """Coefficient domain: a prime field F_p, the integers, or the rationals."""
 
-    kind: str
-    p: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (_FP, _INT, _RAT):
-            raise StructuralError(f"unknown coefficient domain kind {self.kind!r}")
-        if self.kind == _FP:
-            if self.p is None or not _is_prime(self.p):
-                raise ParameterError(f"prime field modulus must be prime, got {shown(self.p)}")
-        elif self.p is not None:
-            raise StructuralError(f"domain {self.kind!r} takes no modulus")
+    def __new__(cls, kind: str, p: int | None = None):
+        if kind not in (_FP, _INT, _RAT):
+            raise StructuralError(f"unknown coefficient domain kind {kind!r}")
+        if kind == _FP:
+            if p is None or not _is_prime(p):
+                raise ParameterError(f"prime field modulus must be prime, got {shown(p)}")
+        elif p is not None:
+            raise StructuralError(f"domain {kind!r} takes no modulus")
+        return super().__new__(cls, kind, p)
 
     def normalize(self, c) -> Coeff:
         """Bring a raw coefficient, an int or a Fraction, into canonical form
@@ -128,24 +126,24 @@ def prime_field(p: int) -> Domain:
     return Domain(_FP, p)
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(NamedTuple("TruncationPolicy", [("caps", Mapping[str, int]), ("total", int | None)])):
     """Exponent caps applied inside every product.
 
     `caps` maps a variable name to an exclusive exponent bound: monomials in
-    which that variable appears with exponent >= the bound are dropped.
-    `total` is an optional exclusive bound on total degree.  Applying a policy
-    twice equals applying it once, and truncation commutes with addition.
+    which that variable appears with exponent >= the bound are dropped; the
+    policy holds its own copy of the mapping.  `total` is an optional
+    exclusive bound on total degree.  Applying a policy twice equals applying
+    it once, and truncation commutes with addition.
     """
 
-    caps: Mapping[str, int] = field(default_factory=dict)
-    total: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "caps", dict(self.caps))
-        for v, bound in self.caps.items():
+    def __new__(cls, caps: Mapping[str, int] = {}, total: int | None = None):
+        caps = dict(caps)
+        for v, bound in caps.items():
             if bound < 0:
                 raise StructuralError(f"negative exponent cap for {v!r}")
+        return super().__new__(cls, caps, total)
 
 
 NO_TRUNCATION = TruncationPolicy()

@@ -21,7 +21,7 @@ division, and `verify` recomputes every power before it compares the sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError, ParameterError, guard, shown
 from .ring import INTEGERS, SparsePoly, _is_prime, prime_field
@@ -49,8 +49,7 @@ def _power(w: SparsePoly, k: int) -> SparsePoly:
     return SparsePoly._trusted(VARS, INTEGERS, terms)
 
 
-@dataclass(frozen=True)
-class WittFamily:
+class WittFamily(NamedTuple):
     """w_0 .. w_jmax over Z for one prime, identity-checked at construction."""
 
     p: int

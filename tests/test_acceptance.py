@@ -191,11 +191,15 @@ DETERMINISM_COMMANDS = [
 ]
 
 
-def test_criterion_10_determinism():
-    # The subprocesses get a minimal environment: nothing of the caller's
-    # (no FGL_MAX_TERMS, no PYTHON* settings) except an import path that
-    # holds exactly the hondafgl package this test run imported.
+def minimal_env() -> dict[str, str]:
+    """A subprocess environment with nothing of the caller's (no FGL_MAX_TERMS,
+    no PYTHON* settings) except an import path that holds exactly the
+    hondafgl package this test run imported."""
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(hondafgl.__file__)))
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
+
+
+def test_criterion_10_determinism():
     with criterion(10, 120.0, "byte-identical output across repeated runs of every command"):
         for argv in DETERMINISM_COMMANDS:
             outputs = []
@@ -203,7 +207,7 @@ def test_criterion_10_determinism():
                 proc = subprocess.run(
                     [sys.executable, "-m", "hondafgl", *argv],
                     capture_output=True,
-                    env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+                    env={**minimal_env(), "PYTHONHASHSEED": seed},
                 )
                 assert proc.returncode == 0, (
                     f"fgl {' '.join(argv)} exited {proc.returncode} with PYTHONHASHSEED={seed}:\n"
@@ -211,3 +215,20 @@ def test_criterion_10_determinism():
                 )
                 outputs.append(proc.stdout)
             assert outputs[0] == outputs[1], f"nondeterministic output for {argv}"
+
+
+def test_cli_import_footprint():
+    # Every fgl run pays for its imports.  Importing the CLI loads neither
+    # dataclasses (with the inspect, ast and dis it pulls in) nor json, which
+    # only --json output needs; counted against a bare start of the same
+    # interpreter, so that whatever site preloads on a host does not count.
+    def loaded(statement):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; {statement}; print(*sys.modules)"],
+            capture_output=True, text=True, env=minimal_env(), check=True,
+        )
+        return set(proc.stdout.split())
+
+    new = loaded("import hondafgl.cli") - loaded("pass")
+    assert "hondafgl.cli" in new
+    assert not new & {"dataclasses", "inspect", "json"}

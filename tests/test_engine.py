@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hondafgl.chern import relation_set
 from hondafgl.engine import (
     FglParams,
     TruncatedFgl,
@@ -22,7 +23,7 @@ from hondafgl.errors import (
     StructuralError,
     shown,
 )
-from hondafgl.oracle import oracle_fgl, oracle_p_series
+from hondafgl.oracle import check_associativity, compare, oracle_fgl, oracle_p_series
 from hondafgl.ring import SparsePoly, TruncationPolicy, prime_field
 from hondafgl.witt import witt_family, witt_mod_p
 
@@ -35,6 +36,31 @@ def fp_poly(p, terms):
     return SparsePoly(XY, prime_field(p), terms)
 
 
+# ---- records -----------------------------------------------------------------
+
+
+def _one_of_each_record():
+    params = FglParams(2, 2)
+    tower = build_tower(params, 3)
+    law = oracle_fgl(params, 9)
+    return [
+        prime_field(2), TruncationPolicy(caps={"y": 2}), params, tower[-1], verify_degree_bound(tower[-1]),
+        p_series(tower, 1), witt_family(2, 2), law, compare(tower[-1], law), check_associativity(law),
+        relation_set(params, 1),
+    ]
+
+
+def test_records_are_immutable():
+    records = _one_of_each_record()
+    assert len({type(r).__name__ for r in records}) == 11
+    for record in records:
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
 # ---- parameters -------------------------------------------------------------
 
 
@@ -42,10 +68,16 @@ def test_params_validation():
     assert FglParams(2, 2).q == 2
     assert FglParams(3, 2).q == 3
     assert FglParams(2, 3).q == 4
-    with pytest.raises(ParameterError):
+    assert FglParams(s=3, p=2) == FglParams(2, 3)
+    assert repr(FglParams(2, 2)) == str(FglParams(2, 2)) == "FglParams(p=2, s=2)"
+    with pytest.raises(ParameterError, match="^p must be prime, got 4$"):
         FglParams(4, 2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^p must be prime, got '2'$"):
+        FglParams("2", 2)
+    with pytest.raises(ParameterError, match="^s must be a positive integer, got 0$"):
         FglParams(2, 0)
+    with pytest.raises(ParameterError, match="^s must be a positive integer, got 2.0$"):
+        FglParams(2, 2.0)
     # accepted for the oracle; the recursion refuses it
     assert FglParams(2, 1).q == 1
 
@@ -160,7 +192,7 @@ def test_extend_rejects_bad_towers():
     with pytest.raises(StructuralError):
         extend([t2])  # levels must run 1..n
     other = initial_fgl(FglParams(3, 2))
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match=r"^tower mixes parameters FglParams\(p=2, s=2\) and FglParams\(p=3, s=2\)$"):
         extend([t1, TruncatedFgl(FglParams(3, 2), 2, extend([other]).poly)])
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -42,11 +43,16 @@ def random_poly(rng, variables, domain, max_terms=6, max_exp=4):
 
 
 def test_prime_field_requires_prime():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^prime field modulus must be prime, got 4$"):
         prime_field(4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^prime field modulus must be prime, got 1$"):
         prime_field(1)
+    with pytest.raises(StructuralError, match="^unknown coefficient domain kind 'mod'$"):
+        Domain("mod", 2)
+    with pytest.raises(StructuralError, match="^domain 'int' takes no modulus$"):
+        Domain("int", 2)
     assert prime_field(7).p == 7
+    assert repr(prime_field(7)) == "Domain(kind='fp', p=7)"
 
 
 def test_is_prime_matches_a_sieve():
@@ -226,8 +232,21 @@ def test_truncated_mul_equals_truncated_exact_product():
 
 
 def test_truncation_policy_rejects_negative_cap():
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="^negative exponent cap for 'x'$"):
         TruncationPolicy(caps={"x": -1})
+    with pytest.raises(StructuralError, match="^negative exponent cap for 'y'$"):
+        TruncationPolicy(caps={"x": 0, "y": -1}, total=3)
+
+
+def test_truncation_policy_holds_its_own_caps():
+    caps = {"y": 3}
+    t = TruncationPolicy(caps=caps, total=6)
+    caps["y"] = 0
+    caps["x"] = 1
+    assert t.caps == {"y": 3} and type(t.caps) is dict
+    assert TruncationPolicy(MappingProxyType({"y": 2})).caps == {"y": 2}
+    assert TruncationPolicy().caps == {} and TruncationPolicy().caps is not TruncationPolicy().caps
+    assert t.total == 6 and TruncationPolicy().total is None
 
 
 def test_total_degree_cap_is_exclusive():
