@@ -39,19 +39,15 @@ def fp_poly(p, terms):
 # ---- records -----------------------------------------------------------------
 
 
-def _one_of_each_record():
+def test_records_are_immutable():
     params = FglParams(2, 2)
     tower = build_tower(params, 3)
     law = oracle_fgl(params, 9)
-    return [
+    records = [
         prime_field(2), TruncationPolicy(caps={"y": 2}), params, tower[-1], verify_degree_bound(tower[-1]),
         p_series(tower, 1), witt_family(2, 2), law, compare(tower[-1], law), check_associativity(law),
         relation_set(params, 1),
     ]
-
-
-def test_records_are_immutable():
-    records = _one_of_each_record()
     assert len({type(r).__name__ for r in records}) == 11
     for record in records:
         for field in record._fields:

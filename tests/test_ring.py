@@ -236,9 +236,7 @@ def test_truncation_policy_rejects_negative_cap():
         TruncationPolicy(caps={"x": -1})
     with pytest.raises(StructuralError, match="^negative exponent cap for 'y'$"):
         TruncationPolicy(caps={"x": 0, "y": -1}, total=3)
-
-
-def test_truncation_policy_holds_its_own_caps():
+    # the policy holds its own copy of the caps
     caps = {"y": 3}
     t = TruncationPolicy(caps=caps, total=6)
     caps["y"] = 0
