@@ -11,7 +11,10 @@ re-validating the results of its own arithmetic and Witt powers became one
 big-int power each, the next at commit a993786, before the oracle's
 reversion and composition moved from Q to Z, the next at commit
 b0f1d1b, before the oracle composed E(L(u) + L(v)) by the binomial theorem,
-and the last at commit 16fdaaf, before the records became named tuples.
+the next at commit 16fdaaf, before the records became named tuples, and the
+last at commit 4426354, before `to_text` rendered in C-level passes and a sum
+reduced only the addend's terms.  DIGESTS pins, by the sha256 of its stdout,
+one more command frozen at 4426354, whose output is too large to commit.
 The c37dfb6 entries are the determinism commands of test_acceptance.py and
 towers deep enough to pin the ladder fold at ladder index j up to 3.  The 32d8eea entries add the forms no golden held yet and,
 in FAILING, the reports of a failed check: each reaches its exit-1 branch
@@ -24,10 +27,15 @@ a993786 entries hold the oracle's large rationals (p 2, s 2, D 65), height
 one (s 1, where q = p), and the deepest engine-vs-oracle overlap, (2,2)
 level 6 at D 97.  The b0f1d1b entry is that overlap one level deeper, (2,2)
 level 7 at D 129.  The 16fdaaf entry is (2,2) level 8, the first tower
-deeper than the e2eb7a8 one.  A change to any of these outputs is a change of behaviour,
-not a refactor: the files are not to be regenerated to make this test pass.
+deeper than the e2eb7a8 one.  The 4426354 entries are the text forms of the
+Witt family at p 5 (large negative Z coefficients through `to_text`) and of
+chern (2,3) k 2 (five variables); its digest is chern (7,2) k 1, 2.7 MB of
+text in eight variables, the same digest as perfbench's.  A change to any of
+these outputs is a change of behaviour, not a refactor: the files are not to
+be regenerated to make this test pass.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -88,6 +96,14 @@ GOLDEN = {
     "verify-p2-s2-l7-d129.txt": "verify --p 2 --s 2 --level 7 --degree 129",
     # frozen at 16fdaaf
     "compute-p2-s2-l8.txt": "compute --p 2 --s 2 --level 8",
+    # frozen at 4426354
+    "chern-p2-s3-k2.txt": "chern --p 2 --s 3 --k 2",
+    "witt-p5-j4.txt": "witt --p 5 --jmax 4",
+}
+
+# frozen at 4426354: argv -> sha256 of its stdout
+DIGESTS = {
+    "chern --p 7 --s 2 --k 1": "c354e454867badfe693f8cf96b8789eb97d20734b528dcdaa632df1677359ec8",
 }
 
 # frozen at 32d8eea; these exit 1: (argv, module, attribute, report field, value)
@@ -138,6 +154,14 @@ def test_stdout_matches_golden(name, capsys, monkeypatch):
     assert status == 0, err
     assert err == ""
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS))
+def test_stdout_matches_digest(argv, capsys):
+    status = main(argv.split())
+    captured = capsys.readouterr()
+    assert (status, captured.err) == (0, "")
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == DIGESTS[argv]
 
 
 @pytest.mark.parametrize("name", sorted(FAILING))
