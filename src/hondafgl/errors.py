@@ -77,7 +77,10 @@ def guard(projected: int | tuple[int, int], default: int, what: str) -> None:
 
 def shown(n, power: tuple[int, int] | None = None) -> str:
     """How a message names a number: as its repr up to 30 digits, past that
-    as the power (b, k) that gave it, if any, else by its digit count."""
+    as the power (b, k) that gave it, if any, else by its digit count; None,
+    with no power, as 'None'."""
+    if n is None and not power:
+        return "None"
     if n is not None and (not isinstance(n, int) or abs(n) < 10**30):
         return repr(n)
     if power:

@@ -36,7 +36,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from operator import add, itemgetter
+from itertools import repeat
+from operator import add, getitem, itemgetter
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import IntegralityError, ParameterError, StructuralError, shown
@@ -159,6 +160,14 @@ def _grlex_sorted(exponents) -> list[Exponent]:
     return out
 
 
+class _Factors(dict):
+    """The factors '*v^k' of one variable by k, from {0: '', 1: '*v'} on."""
+
+    def __missing__(self, k: int) -> str:
+        self[k] = f"{self[1]}^{k}"
+        return self[k]
+
+
 class SparsePoly:
     """A sparse multivariate polynomial over a fixed domain and variable set."""
 
@@ -193,17 +202,19 @@ class SparsePoly:
         raise AttributeError("SparsePoly is immutable")
 
     @classmethod
-    def _trusted(cls, variables: tuple[str, ...], domain: Domain, terms: dict) -> "SparsePoly":
+    def _trusted(cls, variables: tuple[str, ...], domain: Domain, terms: dict, reduced: bool = False) -> "SparsePoly":
         """A result of the ring's own arithmetic, right by construction but for
         its coefficients: `terms`, a dict no one else holds, is reduced mod p
-        in place over F_p (over Q they are Fractions already), zeros dropped."""
+        in place over F_p (over Q they are Fractions already), zeros dropped,
+        unless the caller has `reduced` them already."""
+        if not reduced:
+            if domain.kind == _FP:
+                p = domain.p
+                for e, c in terms.items():
+                    terms[e] = c % p
+            for e in [e for e, c in terms.items() if not c]:
+                del terms[e]
         poly = cls(variables, domain)
-        if domain.kind == _FP:
-            p = domain.p
-            for e, c in terms.items():
-                terms[e] = c % p
-        for e in [e for e, c in terms.items() if not c]:
-            del terms[e]
         object.__setattr__(poly, "terms", terms)
         return poly
 
@@ -257,11 +268,19 @@ class SparsePoly:
             raise StructuralError(f"domains differ: {self.domain} vs {other.domain}")
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
+        """A C-level copy of self's terms; then a Python loop only over other's
+        terms adds each, reduces it mod p and drops a zero, in place."""
         self._check_compatible(other)
-        out = dict(self.terms)
+        out, p = dict(self.terms), self.domain.p
         for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return SparsePoly._trusted(self.variables, self.domain, out)
+            c += out.get(e, 0)
+            if p:
+                c %= p
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+        return SparsePoly._trusted(self.variables, self.domain, out, reduced=True)
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly._trusted(self.variables, self.domain, {e: -c for e, c in self.terms.items()})
@@ -412,22 +431,20 @@ class SparsePoly:
     # ---- serialization -------------------------------------------------
 
     def to_text(self) -> str:
-        """Human-readable form, e.g. 'x^3*y + x*y^3', in canonical order.  Each
-        factor string '*v^k' is built once per call, in a table per variable."""
+        """Human-readable form, e.g. 'x^3*y + x*y^3', in canonical order.  Only
+        the sort and a head ' + c' or ' - c' per distinct coefficient run in
+        Python; C-level maps join the terms from the heads and the factors
+        '*v^k', each made on first use.  Then a coefficient 1 is dropped by
+        replacing ' + 1*' and ' - 1*': no monomial holds a space."""
         if not self.terms:
             return "0"
-        terms = self.terms
-        names = [
-            {k: "" if k == 0 else f"*{v}" if k == 1 else f"*{v}^{k}" for k in {e[i] for e in terms}}
-            for i, v in enumerate(self.variables)
-        ]
-        chunks = []
-        for e in _grlex_sorted(terms):
-            c, mono = terms[e], "".join([n[k] for n, k in zip(names, e)])
-            chunks.append(" - " if c < 0 else " + ")
-            chunks.append(mono[1:] if mono and abs(c) == 1 else f"{abs(c)}{mono}")
-        chunks[0] = "-" if chunks[0] == " - " else ""
-        return "".join(chunks)
+        terms, order = self.terms, _grlex_sorted(self.terms)
+        heads = {c: f" - {-c}" if c < 0 else f" + {c}" for c in set(terms.values())}
+        factors = [_Factors({0: "", 1: f"*{v}"}) for v in self.variables]
+        monos = map("".join, map(map, repeat(getitem), repeat(factors), order))
+        text = "".join(map(add, map(heads.__getitem__, map(terms.__getitem__, order)), monos))
+        text = text.replace(" + 1*", " + ").replace(" - 1*", " - ")
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __str__(self) -> str:
         return self.to_text()

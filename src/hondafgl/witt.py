@@ -40,6 +40,8 @@ def _power_sum(p: int, n: int) -> SparsePoly:
 def _power(w: SparsePoly, k: int) -> SparsePoly:
     """w^k for w homogeneous in (x, y) over Z, by Kronecker substitution (see
     above); 2^(B-1) added to each digit makes it an unsigned slice of bits."""
+    if k == 1:
+        return w
     d = sum(next(iter(w.terms))) * k
     width = (sum(map(abs, w.terms.values())) ** k).bit_length() + 1
     half = 1 << width - 1

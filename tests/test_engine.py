@@ -209,6 +209,7 @@ def test_messages_name_numbers_past_30_digits_by_power_or_digit_count():
     assert shown(10**5000) == "a number of 5001 digits"  # past what str() converts
     assert shown(2**100, (2, 100)) == "2^100"
     assert shown(None, (3, 10**8)) == "3^100000000"
+    assert shown(None) == "None"
     assert shown(2**20, (2, 20)) == "1048576"
 
 

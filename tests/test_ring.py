@@ -47,6 +47,8 @@ def test_prime_field_requires_prime():
         prime_field(4)
     with pytest.raises(ParameterError, match="^prime field modulus must be prime, got 1$"):
         prime_field(1)
+    with pytest.raises(ParameterError, match="^prime field modulus must be prime, got None$"):
+        Domain("fp")
     with pytest.raises(StructuralError, match="^unknown coefficient domain kind 'mod'$"):
         Domain("mod", 2)
     with pytest.raises(StructuralError, match="^domain 'int' takes no modulus$"):
@@ -300,11 +302,14 @@ def test_arithmetic_results_equal_their_validated_copies(domain):
         for trunc in CANONICAL_CAPS:
             for _ in range(4):
                 f, g = (random_poly(rng, variables, domain, max_terms=5, max_exp=3) for _ in "fg")
+                # `+` writes into a copy of its left operand's terms: no operand may change
+                operands = [(q, dict(q.terms)) for q in (f, g)]
                 results = [f.mul(g, trunc), f + g, f - g, f - f, f + f, -f, f.truncate(trunc)]
                 results += [f.scale(c) for c in (0, 1, -3, 5, Fraction(4, 2))]
                 results += [f.pow(k, trunc) for k in (0, 1, 2, 3, 5)]
                 images = {v: random_poly(rng, variables, domain, max_terms=3, max_exp=2) for v in names}
                 template = random_poly(rng, names, domain, max_terms=4, max_exp=3)
+                operands += [(q, dict(q.terms)) for q in (template, *images.values())]
                 results.append(template.substitute(images, trunc))
                 if domain == INTEGERS:
                     results += [f.map_domain(target) for target in (F2, prime_field(5), RATIONALS)]
@@ -312,6 +317,8 @@ def test_arithmetic_results_equal_their_validated_copies(domain):
                     results.append(f.map_domain(prime_field(5)))
                 for r in results:
                     assert_canonical(r)
+                for q, terms in operands:
+                    assert q.terms == terms
 
 
 # ---- substitution ------------------------------------------------------------
@@ -525,6 +532,46 @@ def test_text_form_examples():
     assert f.to_text() == "-x^3*y - 2*x^2*y^2 - x*y^3"
     g = poly(XY, RATIONALS, {(1, 0): Fraction(1, 2), (0, 0): -3})
     assert g.to_text() == "-3 + 1/2*x"
+
+
+def reference_text(f):
+    """The term-by-term renderer `to_text` replaced, kept as its reference."""
+    if not f.terms:
+        return "0"
+    terms = f.terms
+    names = [
+        {k: "" if k == 0 else f"*{v}" if k == 1 else f"*{v}^{k}" for k in {e[i] for e in terms}}
+        for i, v in enumerate(f.variables)
+    ]
+    chunks = []
+    for e, c in f.sorted_terms():
+        mono = "".join([n[k] for n, k in zip(names, e)])
+        chunks.append(" - " if c < 0 else " + ")
+        chunks.append(mono[1:] if mono and abs(c) == 1 else f"{abs(c)}{mono}")
+    chunks[0] = "-" if chunks[0] == " - " else ""
+    return "".join(chunks)
+
+
+TEXT_COEFFS = (1, -1, 10, 11, -21, 2, -3, Fraction(-1), Fraction(1, 3), Fraction(-11, 7))
+TEXT_NAMES = ("x", "y", "x1", "u", "_t", "a10", "B", "c_2")
+
+
+@pytest.mark.parametrize("domain", [F2, prime_field(5), INTEGERS, RATIONALS], ids=str)
+def test_to_text_matches_reference_renderer(domain):
+    rng = random.Random(f"text {domain}")
+    coeffs = [c for c in TEXT_COEFFS if domain == RATIONALS or c.denominator == 1]
+    for n in range(1, 9):
+        variables, const, x = TEXT_NAMES[:n], (0,) * n, (1,) + (0,) * (n - 1)
+        polys = [SparsePoly(variables, domain, {const: c}) for c in coeffs]
+        polys += [SparsePoly(variables, domain, {x: c}) for c in coeffs]
+        for _ in range(10):
+            terms = {tuple(rng.randint(0, 12) for _ in variables): rng.choice(coeffs) for _ in range(rng.randint(1, 40))}
+            polys.append(SparsePoly(variables, domain, terms))
+            # a negative leading term: -1, -21 or -11/7 times the first variable
+            above = {e: c for e, c in terms.items() if sum(e) > 1}
+            polys += [SparsePoly(variables, domain, {x: c, **above}) for c in coeffs if c <= -1]
+        for f in polys:
+            assert f.to_text() == reference_text(f)
 
 
 def test_json_trailing_zeros_trimmed_and_restored():
