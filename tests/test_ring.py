@@ -565,7 +565,9 @@ def test_to_text_matches_reference_renderer(domain):
         polys = [SparsePoly(variables, domain, {const: c}) for c in coeffs]
         polys += [SparsePoly(variables, domain, {x: c}) for c in coeffs]
         for _ in range(10):
-            terms = {tuple(rng.randint(0, 12) for _ in variables): rng.choice(coeffs) for _ in range(rng.randint(1, 40))}
+            terms = {
+                tuple(rng.randint(0, 12) for _ in variables): rng.choice(coeffs) for _ in range(rng.randint(1, 40))
+            }
             polys.append(SparsePoly(variables, domain, terms))
             # a negative leading term: -1, -21 or -11/7 times the first variable
             above = {e: c for e, c in terms.items() if sum(e) > 1}
