@@ -66,7 +66,7 @@ def relation_set(params: FglParams, k: int) -> ChernRelationSet:
     u_cap = params.p ** (k * params.s)
     guard(m * len(top.terms), DEFAULT_MAX_TERMS, f"the term count m*|P_n| over {m} tensor-shifted roots")
     variables = tuple(f"x{j}" for j in range(1, m + 1)) + ("u",)
-    trunc = TruncationPolicy(caps={"u": u_cap})
+    trunc = TruncationPolicy(u_cap, "u")
     fp = params.fp
     u = SparsePoly.variable(variables, fp, "u")
     roots = [SparsePoly.variable(variables, fp, f"x{j}") for j in range(1, m + 1)]

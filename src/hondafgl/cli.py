@@ -20,7 +20,7 @@ import sys
 
 from . import chern as chern_mod
 from . import engine, oracle, witt
-from .errors import FglError, ParameterError, ResourceLimitError, guard, shown, too_long_to_print
+from .errors import FglError, ParameterError, ResourceLimitError, shown, too_long_to_print
 from .ring import SparsePoly
 
 
@@ -90,14 +90,6 @@ def _add_params(p: argparse.ArgumentParser):
     p.add_argument("--s", type=int, required=True, help="height (s > 1 except for oracle)")
 
 
-def _tower(params: engine.FglParams, level: int) -> list:
-    """`engine.build_tower`, with a q = p^(s-1) too long to print refused:
-    compute and pseries print q, and at level 1 no y-cap guard bounds it."""
-    tower, q = engine.build_tower(params, level), (params.p, params.s - 1)
-    guard(q if too_long_to_print(*q) else 0, engine.DEFAULT_MAX_Y_CAP, "the y-cap of level 1")
-    return tower
-
-
 def _cmd_witt(args):
     family = witt.witt_family(args.p, args.jmax)
     polys = witt.witt_mod_p(family) if args.mod_p else family.polys
@@ -113,7 +105,7 @@ def _cmd_witt(args):
 
 def _cmd_compute(args):
     params = engine.FglParams(args.p, args.s)
-    f = _tower(params, args.level)[-1]
+    f = engine.build_tower(params, args.level)[-1]
     payload = {"p": params.p, "s": params.s, "q": params.q, "level": f.level, "y_cap": f.y_cap, "poly": f.poly}
     if args.coeff_table:
         table = sorted(engine.coefficient_table(f).items())
@@ -153,7 +145,7 @@ def _cmd_pseries(args):
     params = engine.FglParams(args.p, args.s)
     if too_long_to_print(params.p, args.k):
         raise ParameterError(f"k = {shown(args.k)} is too large: p^k has more digits than can be printed")
-    series = engine.p_series(_tower(params, args.level), args.k)
+    series = engine.p_series(engine.build_tower(params, args.level), args.k)
     multiplier = params.p**args.k
     payload = {"p": params.p, "s": params.s, "q": params.q, "level": args.level, "k": args.k}
     payload |= {"multiplier": multiplier, "valid_below": series.valid_below, "poly": series.poly}

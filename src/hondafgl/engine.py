@@ -43,6 +43,7 @@ from .errors import (
     StructuralError,
     guard,
     shown,
+    too_long_to_print,
 )
 from .ring import SparsePoly, TruncationPolicy, _is_prime, prime_field
 from .witt import witt_family, witt_mod_p
@@ -53,7 +54,8 @@ DEFAULT_MAX_Y_CAP = 10**4
 
 
 class FglParams(NamedTuple("FglParams", [("p", int), ("s", int)])):
-    """Prime p and height s; q = p^(s-1) is always derived, never stored.
+    """Prime p and height s; q = p^(s-1) is always derived, never stored,
+    and refused as the y-cap of level 1 when it is too long to print.
 
     s = 1 is accepted, for the rational-logarithm oracle; the truncation
     recursion needs s > 1 (q = 1 at s = 1 makes "modulo y^q" say nothing)
@@ -71,6 +73,8 @@ class FglParams(NamedTuple("FglParams", [("p", int), ("s", int)])):
 
     @property
     def q(self) -> int:
+        if too_long_to_print(self.p, self.s - 1):
+            guard((self.p, self.s - 1), DEFAULT_MAX_Y_CAP, "the y-cap of level 1")
         return self.p ** (self.s - 1)
 
     @property
@@ -103,7 +107,7 @@ def extend(tower: Sequence[TruncatedFgl]) -> TruncatedFgl:
     q = params.q
     new_cap = q ** (n + 1)
     guard(new_cap, DEFAULT_MAX_Y_CAP, f"the y-cap of level {n + 1}")
-    trunc = TruncationPolicy(caps={"y": new_cap})
+    trunc = TruncationPolicy(new_cap, "y")
     wbar = witt_mod_p(witt_family(params.p, n))
 
     b: dict[int, SparsePoly] = {}
@@ -220,7 +224,7 @@ def law_p_series(law: SparsePoly, k: int, bound: int) -> SparsePoly:
     """
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {shown(k)}")
-    trunc = TruncationPolicy(caps={"x": bound})
+    trunc = TruncationPolicy(bound, "x")
     x = SparsePoly.variable(("x",), law.domain, "x")
     series = x
     if k:

@@ -103,7 +103,7 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
     """
     _check_degree(degree)
     guard(degree, DEFAULT_MAX_Y_CAP, "the total degree D of the oracle")
-    trunc = TruncationPolicy(total=degree)
+    trunc = TruncationPolicy(degree)
     p = params.p
     log = {e: c * p ** (e[0] - 1) for e, c in honda_log(params, degree).terms.items()}
     log = SparsePoly(("x",), INTEGERS, log)  # L(t) = l(pt)/p
@@ -199,7 +199,7 @@ class AssociativityReport(NamedTuple):
 def check_associativity(oracle: OracleFgl) -> AssociativityReport:
     """F(F(x,y),z) = F(x,F(y,z)) termwise over F_p, modulo total degree."""
     f = oracle.poly_mod_p
-    trunc = TruncationPolicy(total=oracle.degree)
+    trunc = TruncationPolicy(oracle.degree)
     vars3 = ("x", "y", "z")
     fp = oracle.params.fp
     x = SparsePoly.variable(vars3, fp, "x")

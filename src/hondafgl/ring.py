@@ -10,9 +10,10 @@ polynomials.
 Every operation is a pure function returning a new polynomial; instances are
 treated as immutable and are safe to share across threads.  Products (and
 everything built on products: powers, substitution, elementary symmetric
-polynomials) can be truncated on the fly by a `TruncationPolicy` carrying
-per-variable exponent caps and an optional total-degree cap, which keeps
-intermediate results small when working modulo y^N or modulo a total degree.
+polynomials) can be truncated on the fly by a `TruncationPolicy`: one
+exclusive bound on one weight, the exponent of one variable or the total
+degree, which keeps intermediate results small when working modulo y^N or
+modulo a total degree.
 
 Validation happens at the boundary: the constructor checks each variable
 tuple once (and remembers it), and every exponent and coefficient it is
@@ -127,24 +128,21 @@ def prime_field(p: int) -> Domain:
     return Domain(_FP, p)
 
 
-class TruncationPolicy(NamedTuple("TruncationPolicy", [("caps", Mapping[str, int]), ("total", int | None)])):
-    """Exponent caps applied inside every product.
+class TruncationPolicy(NamedTuple("TruncationPolicy", [("bound", int | None), ("var", str | None)])):
+    """One exclusive bound on one weight, applied inside every product.
 
-    `caps` maps a variable name to an exclusive exponent bound: monomials in
-    which that variable appears with exponent >= the bound are dropped; the
-    policy holds its own copy of the mapping.  `total` is an optional
-    exclusive bound on total degree.  Applying a policy twice equals applying
-    it once, and truncation commutes with addition.
+    Monomials whose weight is >= `bound` are dropped.  The weight is the
+    exponent of `var`, or the total degree when `var` is None; with no bound
+    nothing is dropped.  Applying a policy twice equals applying it once, and
+    truncation commutes with addition.
     """
 
     __slots__ = ()
 
-    def __new__(cls, caps: Mapping[str, int] = {}, total: int | None = None):
-        caps = dict(caps)
-        for v, bound in caps.items():
-            if bound < 0:
-                raise StructuralError(f"negative exponent cap for {v!r}")
-        return super().__new__(cls, caps, total)
+    def __new__(cls, bound: int | None = None, var: str | None = None):
+        if bound is not None and bound < 0:
+            raise StructuralError(f"negative truncation bound {shown(bound)}")
+        return super().__new__(cls, bound, var)
 
 
 NO_TRUNCATION = TruncationPolicy()
@@ -189,7 +187,7 @@ class SparsePoly:
             e = tuple(e)
             if len(e) != len(variables):
                 raise StructuralError(f"exponent {e} has wrong arity for {variables}")
-            if any(k < 0 or not isinstance(k, int) for k in e):
+            if any(not isinstance(k, int) or k < 0 for k in e):
                 raise StructuralError(f"exponents must be non-negative integers, got {e}")
             c = domain.normalize(c)
             if c:
@@ -293,28 +291,23 @@ class SparsePoly:
         return SparsePoly._trusted(self.variables, self.domain, {e: v * c for e, v in self.terms.items()})
 
     def mul(self, other: "SparsePoly", trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
-        """Product with every monomial violating `trunc` dropped.
-
+        """Product with every monomial whose weight reaches `trunc`'s bound
+        dropped.  other's terms ascend in the weight, so those that pass with
+        e1 are a prefix, cut by one bisection: the only truncation test.
         The result is independent of term order: coefficients are accumulated
-        exactly and reduced once at the end.
-        """
+        exactly and reduced once at the end."""
         self._check_compatible(other)
-        bounds = [(itemgetter(i), trunc.caps[v]) for i, v in enumerate(self.variables) if v in trunc.caps]
-        bounds += [(sum, trunc.total)] if trunc.total is not None else []
-        # other's terms ascend in the first bound's weight, so those that pass
-        # it with e1 are a prefix, found by one bisection
-        weight, bound = bounds.pop(0) if bounds else (sum, float("inf"))
+        if trunc.var is not None and trunc.var not in self.variables:
+            raise StructuralError(f"truncation variable {trunc.var!r} is not one of {self.variables}")
+        weight = sum if trunc.var is None else itemgetter(self.variables.index(trunc.var))
+        bound = float("inf") if trunc.bound is None else trunc.bound
         rows = sorted(other.terms.items(), key=lambda t: weight(t[0]))
         weights = [weight(e) for e, _ in rows]
         out: dict[Exponent, Coeff] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in rows[: bisect_left(weights, bound - weight(e1))]:
                 e = tuple(map(add, e1, e2))
-                for w, b in bounds:
-                    if w(e) >= b:
-                        break
-                else:
-                    out[e] = out.get(e, 0) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return SparsePoly._trusted(self.variables, self.domain, out)
 
     def pow(self, exponent: int, trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
@@ -482,11 +475,9 @@ def elementary_symmetric_all(
     for v in values[1:]:
         first._check_compatible(v)
     sig = [SparsePoly.one(first.variables, first.domain)]
-    zero = SparsePoly.zero(first.variables, first.domain)
     for v in values:
         nxt = [sig[0]]
-        for k in range(1, len(sig) + 1):
-            prev = sig[k] if k < len(sig) else zero
-            nxt.append(prev + sig[k - 1].mul(v, trunc))
-        sig = nxt
+        for k in range(1, len(sig)):
+            nxt.append(sig[k] + sig[k - 1].mul(v, trunc))
+        sig = nxt + [sig[-1].mul(v, trunc)]
     return sig

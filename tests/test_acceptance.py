@@ -168,7 +168,7 @@ def test_criterion_09_chern_relations():
             assert r.substitute({"x1": x2, "x2": x1, "u": u}) == r
 
         # independent route to the top relation: the plain product
-        trunc = TruncationPolicy(caps={"u": 4})
+        trunc = TruncationPolicy(4, "u")
         top = build_tower(params, rels.level)[-1].poly
         f1 = top.substitute({"x": x1, "y": u}, trunc)
         f2 = top.substitute({"x": x2, "y": u}, trunc)

@@ -88,7 +88,7 @@ def test_top_relation_equals_product_path():
         params = FglParams(p, s)
         rels = relation_set(params, k)
         fp = prime_field(p)
-        trunc = TruncationPolicy(caps={"u": rels.u_cap})
+        trunc = TruncationPolicy(rels.u_cap, "u")
         top = build_tower(params, rels.level)[-1].poly
         u = SparsePoly.variable(rels.variables, fp, "u")
         prod_shifted = SparsePoly.one(rels.variables, fp)

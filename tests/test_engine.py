@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -44,7 +45,7 @@ def test_records_are_immutable():
     tower = build_tower(params, 3)
     law = oracle_fgl(params, 9)
     records = [
-        prime_field(2), TruncationPolicy(caps={"y": 2}), params, tower[-1], verify_degree_bound(tower[-1]),
+        prime_field(2), TruncationPolicy(2, "y"), params, tower[-1], verify_degree_bound(tower[-1]),
         p_series(tower, 1), witt_family(2, 2), law, compare(tower[-1], law), check_associativity(law),
         relation_set(params, 1),
     ]
@@ -76,6 +77,14 @@ def test_params_validation():
         FglParams(2, 2.0)
     # accepted for the oracle; the recursion refuses it
     assert FglParams(2, 1).q == 1
+
+
+def test_q_too_long_to_print_is_refused_at_once():
+    # q = 2^(10^4000 - 1) used to be built on first use
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"^the y-cap of level 1 is 2\^a number of 4000 digits, beyond the limit "):
+        FglParams(2, 10**4000).q
+    assert time.perf_counter() - start < 1
 
 
 def test_height_one_params_cannot_enter_recursion():
@@ -171,7 +180,7 @@ def test_deep_tower_passes_its_intrinsic_certificates(p, s, level):
     assert verify_degree_bound(top).passed
     vs_regrade(top)
     for lower, upper in zip(tower, tower[1:]):
-        assert upper.poly.truncate(TruncationPolicy(caps={"y": lower.y_cap})) == lower.poly
+        assert upper.poly.truncate(TruncationPolicy(lower.y_cap, "y")) == lower.poly
     k = 1
     while p ** (k * s) < top.y_cap:  # [p^k](x) = x^(p^(ks)) below the validity bound
         assert law_p_series(top.poly, k, top.y_cap) == SparsePoly(("x",), params.fp, {(p ** (k * s),): 1})
@@ -327,7 +336,7 @@ def test_p_series_p3_s2_level3():
 
 def diagonal_p_series(law, multiplier, bound):
     """[multiplier](x) by its definition: multiplier - 1 diagonal substitutions."""
-    trunc = TruncationPolicy(caps={"x": bound})
+    trunc = TruncationPolicy(bound, "x")
     x = SparsePoly.variable(("x",), law.domain, "x")
     series = x
     for _ in range(multiplier - 1):

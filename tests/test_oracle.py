@@ -74,7 +74,7 @@ def test_revert_defining_property_random():
                 terms[(k,)] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
         f = qpoly(X, terms)
         g = revert_series(f, d)
-        trunc = TruncationPolicy(caps={"x": d})
+        trunc = TruncationPolicy(d, "x")
         x = qpoly(X, {(1,): 1})
         assert f.substitute({"x": g}, trunc) == x
         assert g.substitute({"x": f}, trunc) == x
@@ -86,7 +86,7 @@ def test_revert_over_z_equals_revert_over_q():
     rng = random.Random(47)
     d = 24
     x = SparsePoly(X, INTEGERS, {(1,): 1})
-    trunc = TruncationPolicy(caps={"x": d})
+    trunc = TruncationPolicy(d, "x")
     for _ in range(8):
         terms = {(1,): 1}
         for k in range(2, d + 3):
@@ -173,7 +173,7 @@ def test_oracle_law_has_the_honda_logarithm(p, s, degree):
     # the law that does not go through the substitution x = p*t
     params = FglParams(p, s)
     log = honda_log(params, degree)
-    trunc = TruncationPolicy(total=degree)
+    trunc = TruncationPolicy(degree)
     x, y = (SparsePoly.variable(XY, RATIONALS, name) for name in XY)
     lhs = log.substitute({"x": oracle_fgl(params, degree).poly_rational}, trunc)
     assert lhs == log.substitute({"x": x}, trunc) + log.substitute({"x": y}, trunc)
@@ -185,7 +185,7 @@ def bivariate_composition(params, degree):
     by substitution into the bivariate powers of L(u) + L(v), over Z, then
     [x^i y^j] F = G_ij / p^(i+j-1)."""
     p = params.p
-    trunc = TruncationPolicy(total=degree)
+    trunc = TruncationPolicy(degree)
     log = {e: c * p ** (e[0] - 1) for e, c in honda_log(params, degree).terms.items()}
     log = SparsePoly(X, INTEGERS, log)
     exp = revert_series(log, degree)

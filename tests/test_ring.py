@@ -1,7 +1,6 @@
 import json
 import random
 from fractions import Fraction
-from types import MappingProxyType
 
 import pytest
 
@@ -131,6 +130,10 @@ def test_variable_validation():
     for bad in ({(1,): 1}, {(1, 0, 0): 1}, {(-1, 0): 1}, {(1.0, 0): 1}):  # arity, sign, type
         with pytest.raises(StructuralError):
             poly(XY, INTEGERS, bad)
+    # an exponent that cannot be compared with 0 is refused by its type, not by `<`
+    for bad in ({("a",): 1}, {(None,): 1}):
+        with pytest.raises(StructuralError, match="^exponents must be non-negative integers"):
+            poly(("x",), INTEGERS, bad)
 
 
 # ---- add -------------------------------------------------------------------
@@ -170,8 +173,17 @@ def test_mul_freshmans_dream():
 
 def test_mul_truncated_by_cap():
     f = poly(XY, INTEGERS, {(1, 0): 1, (0, 1): 1})
-    capped = f.mul(f, TruncationPolicy(caps={"y": 2}))
+    capped = f.mul(f, TruncationPolicy(2, "y"))
     assert capped == poly(XY, INTEGERS, {(2, 0): 1, (1, 1): 2})
+    # x^3 + x*y^2 + y: the x-exponent, the y-exponent and the total degree
+    # each keep a different part
+    f = poly(XY, INTEGERS, {(3, 0): 1, (1, 2): 1, (0, 1): 1})
+    cases = [((3, "x"), {(1, 2), (0, 1)}), ((2, "y"), {(3, 0), (0, 1)}), ((3,), {(0, 1)}), ((4,), set(f.terms))]
+    for args, want in cases:
+        t = TruncationPolicy(*args)
+        assert set(f.truncate(t).terms) == want, t
+        assert set(f.mul(SparsePoly.one(XY, INTEGERS), t).terms) == want, t
+        assert set(SparsePoly.one(XY, INTEGERS).mul(f, t).terms) == want, t
 
 
 def test_mul_one_is_identity():
@@ -204,56 +216,79 @@ def test_pow_negative_exponent_rejected():
 # ---- truncation policies ----------------------------------------------------
 
 
+# One bound each, on x, on y and on the total degree; the last two leave nothing.
+XY_POLICIES = (
+    TruncationPolicy(4, "x"),
+    TruncationPolicy(3, "y"),
+    TruncationPolicy(6),
+    TruncationPolicy(0, "x"),
+    TruncationPolicy(0),
+)
+
+
+def kept(f, trunc):
+    """The terms of f whose weight is below trunc's bound, filtered one by one:
+    the reference for mul's bisection."""
+    weight = sum if trunc.var is None else (lambda e: e[f.variables.index(trunc.var)])
+    return {e: c for e, c in f.terms.items() if trunc.bound is None or weight(e) < trunc.bound}
+
+
 def test_truncation_idempotent():
     rng = random.Random(11)
-    t = TruncationPolicy(caps={"y": 3}, total=6)
-    for _ in range(25):
-        a = random_poly(rng, XY, INTEGERS, max_exp=8)
-        once = a.truncate(t)
-        assert once.truncate(t) == once
+    for t in XY_POLICIES + (NO_TRUNCATION,):
+        for _ in range(25):
+            a = random_poly(rng, XY, INTEGERS, max_exp=8)
+            once = a.truncate(t)
+            assert once.terms == kept(a, t), t
+            assert once.truncate(t) == once
 
 
 def test_truncation_commutes_with_add():
     rng = random.Random(13)
-    t = TruncationPolicy(caps={"x": 4, "y": 3})
-    for _ in range(25):
-        a = random_poly(rng, XY, INTEGERS, max_exp=8)
-        b = random_poly(rng, XY, INTEGERS, max_exp=8)
-        assert (a + b).truncate(t) == a.truncate(t) + b.truncate(t)
+    for t in XY_POLICIES:
+        for _ in range(25):
+            a = random_poly(rng, XY, INTEGERS, max_exp=8)
+            b = random_poly(rng, XY, INTEGERS, max_exp=8)
+            assert (a + b).truncate(t) == a.truncate(t) + b.truncate(t)
 
 
 def test_truncated_mul_equals_truncated_exact_product():
     # on inputs already satisfying the policy, truncate-after-multiply
-    # agrees with truncating inside the product
+    # agrees with truncating inside the product, and with filtering the
+    # exact product term by term
     rng = random.Random(17)
-    t = TruncationPolicy(caps={"y": 4}, total=10)
-    for _ in range(30):
-        a = random_poly(rng, XY, INTEGERS, max_terms=20, max_exp=6).truncate(t)
-        b = random_poly(rng, XY, INTEGERS, max_terms=20, max_exp=6).truncate(t)
-        assert a.mul(b, t) == a.mul(b).truncate(t)
+    for t in XY_POLICIES:
+        for _ in range(30):
+            a = random_poly(rng, XY, INTEGERS, max_terms=20, max_exp=6).truncate(t)
+            b = random_poly(rng, XY, INTEGERS, max_terms=20, max_exp=6).truncate(t)
+            exact = a.mul(b)
+            assert a.mul(b, t) == exact.truncate(t)
+            assert a.mul(b, t).terms == kept(exact, t), t
 
 
 def test_truncation_policy_rejects_negative_cap():
-    with pytest.raises(StructuralError, match="^negative exponent cap for 'x'$"):
-        TruncationPolicy(caps={"x": -1})
-    with pytest.raises(StructuralError, match="^negative exponent cap for 'y'$"):
-        TruncationPolicy(caps={"x": 0, "y": -1}, total=3)
-    # the policy holds its own copy of the caps
-    caps = {"y": 3}
-    t = TruncationPolicy(caps=caps, total=6)
-    caps["y"] = 0
-    caps["x"] = 1
-    assert t.caps == {"y": 3} and type(t.caps) is dict
-    assert TruncationPolicy(MappingProxyType({"y": 2})).caps == {"y": 2}
-    assert TruncationPolicy().caps == {} and TruncationPolicy().caps is not TruncationPolicy().caps
-    assert t.total == 6 and TruncationPolicy().total is None
+    for var in ("x", None):
+        with pytest.raises(StructuralError, match="^negative truncation bound -1$"):
+            TruncationPolicy(-1, var)
+    t = TruncationPolicy(3, "y")
+    assert (t.bound, t.var) == (3, "y") and t == TruncationPolicy(var="y", bound=3)
+    assert TruncationPolicy(6) == (6, None) and NO_TRUNCATION == TruncationPolicy() == (None, None)
+
+
+def test_truncation_bound_on_an_absent_variable_is_refused():
+    # such a bound used to be ignored silently
+    f = poly(XY, F3, {(1, 0): 1, (0, 1): 1})
+    t = TruncationPolicy(3, "z")
+    for call in (lambda: f.mul(f, t), lambda: f.truncate(t), lambda: f.pow(4, t), lambda: f.pow(0, t)):
+        with pytest.raises(StructuralError, match=r"^truncation variable 'z' is not one of \('x', 'y'\)$"):
+            call()
 
 
 def test_total_degree_cap_is_exclusive():
     f = poly(XY, INTEGERS, {(2, 0): 1, (1, 1): 1})
-    t = TruncationPolicy(total=2)
+    t = TruncationPolicy(2)
     assert not f.truncate(t)
-    assert f.truncate(TruncationPolicy(total=3)) == f
+    assert f.truncate(TruncationPolicy(3)) == f
 
 
 # ---- ring axioms on random inputs -------------------------------------------
@@ -281,11 +316,12 @@ def test_ring_axioms(domain):
 COEFF_TYPE = {"fp": int, "int": int, "rat": Fraction}
 CANONICAL_CAPS = (
     NO_TRUNCATION,
-    TruncationPolicy(caps={"x": 3}),
-    TruncationPolicy(caps={"y": 4, "z": 2}),
-    TruncationPolicy(total=5),
-    TruncationPolicy(total=0),
-    TruncationPolicy(caps={"y": 0}),
+    TruncationPolicy(3, "x"),
+    TruncationPolicy(4, "y"),
+    TruncationPolicy(2, "z"),
+    TruncationPolicy(5),
+    TruncationPolicy(0),
+    TruncationPolicy(0, "y"),
 )
 
 
@@ -299,7 +335,7 @@ def test_arithmetic_results_equal_their_validated_copies(domain):
     rng = random.Random(str(domain))
     for n in (1, 2, 3):
         variables, names = ("x", "y", "z")[:n], ("a", "b", "c")[:n]
-        for trunc in CANONICAL_CAPS:
+        for trunc in [t for t in CANONICAL_CAPS if t.var in (None, *variables)]:
             for _ in range(4):
                 f, g = (random_poly(rng, variables, domain, max_terms=5, max_exp=3) for _ in "fg")
                 # `+` writes into a copy of its left operand's terms: no operand may change
@@ -378,16 +414,17 @@ def test_substitute_domain_mismatch():
 
 # ---- powers: over F_p a p^r-th power only scales exponents ---------------------
 
-# Every variable is capped, so the reference stays small up to k = 342; the
-# first two bind x and y hardest, the third binds only the total degree.  The
-# last two leave nothing, not even f^0 = 1 (in two or three variables for the
-# y-cap).
+# One bound each.  Under a variable cap every image's non-constant part is
+# divisible by the capped variable, as the ladder's b_j is by y, so the
+# repeated-mul reference stays small up to k = 342 although the other
+# variables are unbounded.  The last two leave nothing, not even f^0 = 1.
 POWER_CAPS = (
-    TruncationPolicy(caps={"x": 12, "y": 3, "z": 2}),
-    TruncationPolicy(caps={"x": 3, "y": 12, "z": 2}),
-    TruncationPolicy(total=10),
-    TruncationPolicy(total=0),
-    TruncationPolicy(caps={"y": 0}),
+    TruncationPolicy(12, "x"),
+    TruncationPolicy(3, "y"),
+    TruncationPolicy(2, "z"),
+    TruncationPolicy(10),
+    TruncationPolicy(0),
+    TruncationPolicy(0, "y"),
 )
 
 
@@ -400,15 +437,23 @@ def naive_powers(f, top, trunc):
 
 
 def check_powers_against_repeated_mul(rng, domain, exponents):
+    """Returns the (k, trunc) of every power of k >= p^2 (over F_p) that a
+    variable cap cuts and that keeps more than one term."""
+    survivors = []
     for n in (1, 2, 3):
         variables, names = ("x", "y", "z")[:n], ("a", "b", "c")[:n]
-        for trunc in POWER_CAPS:
+        for trunc in [t for t in POWER_CAPS if t.var in (None, *variables)]:
             # a unit constant term keeps the high powers from truncating to 0
             one = SparsePoly.one(variables, domain)
-            images = [one + random_poly(rng, variables, domain, max_terms=4, max_exp=2) for _ in names]
+            factor = one if trunc.var is None else SparsePoly.variable(variables, domain, trunc.var)
+            images = [one + factor.mul(random_poly(rng, variables, domain, max_terms=4, max_exp=2)) for _ in names]
             naive = [naive_powers(img, max(exponents), trunc) for img in images]
             for k in exponents:
-                assert images[0].pow(k, trunc) == naive[0][k], (images[0], k, trunc)
+                got = images[0].pow(k, trunc)
+                assert got == naive[0][k], (images[0], k, trunc)
+                # the term (v*g)^k of the exact power has v-exponent >= k
+                if domain.p and trunc.var and k >= max(domain.p**2, trunc.bound) and len(got.terms) > 1:
+                    survivors.append((k, trunc))
             template = poly(names, domain, {tuple(rng.choice(exponents) for _ in names): rng.randint(1, 9) for _ in range(4)})
             want = SparsePoly.zero(variables, domain)
             for e, c in template.terms.items():
@@ -418,13 +463,15 @@ def check_powers_against_repeated_mul(rng, domain, exponents):
                 want = want + term.scale(c)
             got = template.substitute(dict(zip(names, images)), trunc)
             assert got == want.truncate(trunc), (template, images, trunc)
+    return survivors
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_frobenius_powers_match_repeated_mul(p):
     rng = random.Random(p)
     exponents = [0, 1, p - 1, p, p**2, p**2 + p - 1, rng.randrange(p**3)]
-    check_powers_against_repeated_mul(rng, prime_field(p), exponents)
+    # twists past the first digit are cut by the cap, yet leave the power more than 1
+    assert check_powers_against_repeated_mul(rng, prime_field(p), exponents)
 
 
 @pytest.mark.parametrize("domain", [INTEGERS, RATIONALS])
