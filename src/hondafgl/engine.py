@@ -7,20 +7,20 @@ comes out of the Witt-polynomial recursion
 
     F(x, y) = F(x + y, w_1(x, y)^q, w_2(x, y)^(q^2), ...),
 
-where the many-argument F is the iterated formal sum.  Working modulo
-y^(q^(n+1)), the tail of that expression collapses through already-known
-levels:
+where the many-argument F is the iterated formal sum.  F is associative, so
+modulo y^(q^(n+1)) that sum, bracketed from the inside, collapses through
+already-known levels:
 
-    t   = x + y,
-    t   = P_{n+1-j}(t, b_j)        for j = 1 .. n-1, with b_j = (w_j mod p)^(q^j),
-    P_{n+1} = t + b_n,
+    S_n     = b_n,                      with b_j = (w_j mod p)^(q^j),
+    S_j     = P_{n-j}(b_j, S_{j+1})     for j = n-1 .. 1,
+    P_{n+1} = P_n(x + y, S_1),
 
-every product truncated at y-exponent < q^(n+1).  Since q^j is a power of p,
-b_j is a Frobenius twist over F_p: every exponent of w_j mod p times q^j (see
-`ring`), with no product formed.  Each collapse step is only valid because
-the substituted second slot b_j is divisible by y^(q^j), which makes the
-neglected tail b_j^(q^(n+1-j)) vanish modulo y^(q^(n+1)); `extend` asserts
-this divisibility at run time rather than assuming it.
+every product truncated at y-exponent < q^(n+1); the x-images are only the
+small b_j and x + y.  Since q^j is a power of p, b_j is a Frobenius twist over
+F_p: every exponent of w_j mod p times q^j (see `ring`), with no product
+formed.  Each step is exact because S_{j+1} is divisible by y^(q^(j+1)), so
+the neglected tail S_{j+1}^(q^(n-j)) vanishes modulo y^(q^(n+1)); `extend`
+asserts at run time that y^(q^j) divides every S_j rather than assuming it.
 
 The y-cap q^n is the engine's resource guard: `build_tower` refuses a tower
 whose top y-cap is past the limit before it builds any level, and `extend`
@@ -102,7 +102,9 @@ def initial_fgl(params: FglParams) -> TruncatedFgl:
 
 
 def extend(tower: Sequence[TruncatedFgl]) -> TruncatedFgl:
-    """Compute P_{n+1} from the tower P_1 .. P_n by the collapse ladder."""
+    """Compute P_{n+1} from the tower P_1 .. P_n by the inside-out ladder.
+    Its one certificate, y^(q^j) divides S_j, also certifies b_j: below
+    y^(q^(j+1)), S_j equals b_j, as F(X, 0) = X and F(0, Y) = Y."""
     params, n = _validate_tower(tower)
     q = params.q
     new_cap = q ** (n + 1)
@@ -110,22 +112,17 @@ def extend(tower: Sequence[TruncatedFgl]) -> TruncatedFgl:
     trunc = TruncationPolicy(new_cap, "y")
     wbar = witt_mod_p(witt_family(params.p, n))
 
-    b: dict[int, SparsePoly] = {}
     y_index = VARS.index("y")
-    for j in range(1, n + 1):
+    for j in range(n, 0, -1):
         bj = wbar[j].pow(q**j, trunc)
-        bad = [e for e in bj.terms if e[y_index] < q**j]
+        inner = bj if j == n else tower[n - j - 1].poly.substitute({"x": bj, "y": inner}, trunc)
+        bad = [e for e in inner.terms if e[y_index] < q**j]
         if bad:
             raise InternalConsistencyError(
                 f"ladder certificate failed at level {n + 1}: "
-                f"w_{j}^(q^{j}) has monomials {bad} with y-exponent < q^{j} = {q**j}"
+                f"S_{j} has monomials {bad} with y-exponent < q^{j} = {q**j}"
             )
-        b[j] = bj
-
-    t = tower[0].poly  # x + y
-    for j in range(1, n):
-        t = tower[n - j].poly.substitute({"x": t, "y": b[j]}, trunc)
-    return TruncatedFgl(params, n + 1, t + b[n])
+    return TruncatedFgl(params, n + 1, tower[n - 1].poly.substitute({"x": tower[0].poly, "y": inner}, trunc))
 
 
 def build_tower(params: FglParams, level: int) -> list[TruncatedFgl]:

@@ -140,6 +140,8 @@ class TruncationPolicy(NamedTuple("TruncationPolicy", [("bound", int | None), ("
     __slots__ = ()
 
     def __new__(cls, bound: int | None = None, var: str | None = None):
+        if bound is not None and not isinstance(bound, int):
+            raise StructuralError(f"truncation bound {bound!r} is a {type(bound).__name__}, not an int")
         if bound is not None and bound < 0:
             raise StructuralError(f"negative truncation bound {shown(bound)}")
         return super().__new__(cls, bound, var)
@@ -313,8 +315,8 @@ class SparsePoly:
     def pow(self, exponent: int, trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """self^exponent modulo `trunc`.  Every power goes through `_powers`:
         twists over F_p, consecutive products over Z and Q."""
-        if exponent < 0:
-            raise StructuralError("negative exponent")
+        if not isinstance(exponent, int) or exponent < 0:
+            raise StructuralError(f"exponent must be a non-negative int, got {shown(exponent)}")
         return self._powers(trunc)(exponent)
 
     def _twist(self, factor: int, trunc: TruncationPolicy) -> "SparsePoly":

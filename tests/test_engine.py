@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -151,6 +152,30 @@ def test_tower_consistency(p, s, level):
         assert restricted == dict(lower.poly.terms)
 
 
+def left_bracketed_extend(tower):
+    """P_{n+1} by the reference ladder, bracketed from the left: t = x + y,
+    t = P_{n+1-j}(t, b_j) for j = 1 .. n-1, and P_{n+1} = t + b_n, every
+    product truncated below y^(q^(n+1))."""
+    params, n = tower[0].params, len(tower)
+    q = params.q
+    trunc = TruncationPolicy(q ** (n + 1), "y")
+    wbar = witt_mod_p(witt_family(params.p, n))
+    b = {j: wbar[j].pow(q**j, trunc) for j in range(1, n + 1)}
+    t = tower[0].poly
+    for j in range(1, n):
+        t = tower[n - j].poly.substitute({"x": t, "y": b[j]}, trunc)
+    return t + b[n]
+
+
+@pytest.mark.parametrize("p,s,level", [(2, 2, 8), (3, 2, 5), (5, 2, 4), (2, 3, 5), (11, 2, 3)])
+def test_extend_equals_left_bracketed_ladder(p, s, level):
+    # both brackets substitute into the same templates P_1 .. P_n, so their
+    # agreement at every level is also a partial associativity check of them
+    tower = build_tower(FglParams(p, s), level)
+    for n in range(1, level):
+        assert tower[n].poly == left_bracketed_extend(tower[:n]), f"level {n + 1}"
+
+
 @pytest.mark.parametrize("p,s,level", [(2, 2, 4), (3, 2, 3), (2, 3, 3), (5, 2, 2)])
 def test_unit_commutativity_grading(p, s, level):
     params = FglParams(p, s)
@@ -224,17 +249,21 @@ def test_messages_name_numbers_past_30_digits_by_power_or_digit_count():
 
 def test_ladder_certificate_guards_substitution(monkeypatch):
     # feed the ladder a "Witt polynomial" that does not vanish on the x-axis;
-    # the divisibility certificate must refuse it
+    # the certificate on S_j must refuse it, at the inner S_1 = P_1(b_1, S_2)
+    # and at the top S_2 = b_2 of level 3
     import hondafgl.engine as eng
 
-    params = FglParams(2, 2)
-    tower = build_tower(params, 2)
+    tower = build_tower(FglParams(2, 2), 2)
     good = witt_mod_p(witt_family(2, 2))
-    bad = list(good)
-    bad[1] = SparsePoly(XY, prime_field(2), {(2, 0): 1})  # x^2: y-exponent 0
-    monkeypatch.setattr(eng, "witt_mod_p", lambda fam: bad)
-    with pytest.raises(InternalConsistencyError):
-        extend(tower)
+    for j, x_power, message in (
+        (1, 2, "S_1 has monomials [(4, 0)] with y-exponent < q^1 = 2"),  # (x^2)^2
+        (2, 3, "S_2 has monomials [(12, 0)] with y-exponent < q^2 = 4"),  # (x^3)^4
+    ):
+        bad = list(good)
+        bad[j] = SparsePoly(XY, prime_field(2), {(x_power, 0): 1})
+        monkeypatch.setattr(eng, "witt_mod_p", lambda fam: bad)
+        with pytest.raises(InternalConsistencyError, match=rf"^ladder certificate failed at level 3: {re.escape(message)}$"):
+            extend(tower)
 
 
 # ---- coefficient table -----------------------------------------------------------

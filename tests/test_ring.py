@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -209,8 +210,9 @@ def test_pow_monomial():
 
 
 def test_pow_negative_exponent_rejected():
-    with pytest.raises(StructuralError):
-        SparsePoly.one(XY, F2).pow(-1)
+    for exponent, shown_as in ((-1, "-1"), (2.5, "2.5"), ("3", "'3'"), (None, "None")):
+        with pytest.raises(StructuralError, match=f"^exponent must be a non-negative int, got {re.escape(shown_as)}$"):
+            SparsePoly.one(XY, F2).pow(exponent)
 
 
 # ---- truncation policies ----------------------------------------------------
@@ -270,6 +272,10 @@ def test_truncation_policy_rejects_negative_cap():
     for var in ("x", None):
         with pytest.raises(StructuralError, match="^negative truncation bound -1$"):
             TruncationPolicy(-1, var)
+    # a bound that is not an int used to fail on its sign test ("3") or cut like 3 (2.5)
+    for bound, message in (("3", "'3' is a str"), (2.5, "2.5 is a float")):
+        with pytest.raises(StructuralError, match=f"^truncation bound {re.escape(message)}, not an int$"):
+            TruncationPolicy(bound, "y")
     t = TruncationPolicy(3, "y")
     assert (t.bound, t.var) == (3, "y") and t == TruncationPolicy(var="y", bound=3)
     assert TruncationPolicy(6) == (6, None) and NO_TRUNCATION == TruncationPolicy() == (None, None)
