@@ -15,8 +15,8 @@ the next at commit 16fdaaf, before the records became named tuples, the
 next at commit 4426354, before `to_text` rendered in C-level passes and a sum
 reduced only the addend's terms, and the last at commit 49b9098, before
 `extend` bracketed the collapse ladder from the inside.  DIGESTS pins, by the
-sha256 of its stdout, one more command frozen at 4426354 and one at 49b9098,
-whose outputs are too large to commit.
+sha256 of its stdout, one more command frozen at 4426354, one at 49b9098 and
+one at f201360, whose outputs are too large to commit.
 The c37dfb6 entries are the determinism commands of test_acceptance.py and
 towers deep enough to pin the ladder fold at ladder index j up to 3.  The 32d8eea entries add the forms no golden held yet and,
 in FAILING, the reports of a failed check: each reaches its exit-1 branch
@@ -35,7 +35,8 @@ chern (2,3) k 2 (five variables); its digest is chern (7,2) k 1, 2.7 MB of
 text in eight variables, the same digest as perfbench's.  The 49b9098 entry
 is (7,2) level 4, 138 KB, which the left-bracketed ladder took about two
 minutes to reach on a 2-vCPU host; its digest is (3,2) level 6, 245 KB, about
-40 s there.  A change to any of
+40 s there.  The f201360 digest is (2,2) level 9, 605 KB, about 4.5 s there,
+frozen before every step of the ladder took one rule.  A change to any of
 these outputs is a change of behaviour, not a refactor: the files are not to
 be regenerated to make this test pass.
 """
@@ -108,10 +109,11 @@ GOLDEN = {
     "compute-p7-s2-l4.txt": "compute --p 7 --s 2 --level 4",
 }
 
-# argv -> sha256 of its stdout, frozen at 4426354 and at 49b9098
+# argv -> sha256 of its stdout, frozen at 4426354, at 49b9098 and at f201360
 DIGESTS = {
     "chern --p 7 --s 2 --k 1": "c354e454867badfe693f8cf96b8789eb97d20734b528dcdaa632df1677359ec8",
     "compute --p 3 --s 2 --level 6": "1f7536cbb63f5f0b3f2839cd18646966d9639321c33892375bc5bed7efe3ab10",
+    "compute --p 2 --s 2 --level 9": "4d2560391482ac4427ab0cd645d960e73dfaf76e5b273fd80a223f914be170af",
 }
 
 # frozen at 32d8eea; these exit 1: (argv, module, attribute, report field, value)
