@@ -145,6 +145,7 @@ def _cmd_pseries(args):
     params = engine.FglParams(args.p, args.s)
     if too_long_to_print(params.p, args.k):
         raise ParameterError(f"k = {shown(args.k)} is too large: p^k has more digits than can be printed")
+    engine._check_k(args.k)  # every parameter is checked before the tower is built
     series = engine.p_series(engine.build_tower(params, args.level), args.k)
     multiplier = params.p**args.k
     payload = {"p": params.p, "s": params.s, "q": params.q, "level": args.level, "k": args.k}
@@ -186,10 +187,10 @@ def _cmd_oracle(args):
 
 def _cmd_verify(args):
     params = engine.FglParams(args.p, args.s)
+    if args.degree is not None:  # 0 is a bad degree, not the default; checked before the tower is built
+        oracle._check_degree(args.degree)
     tower = engine.build_tower(params, args.level)
-    degree = args.degree
-    if degree is None:
-        degree = oracle.default_compare_degree(params, args.level)
+    degree = oracle.default_compare_degree(params, args.level) if args.degree is None else args.degree
     report = oracle.compare(tower[-1], oracle.oracle_fgl(params, degree))
     payload = {"p": params.p, "s": params.s, "level": args.level, "degree": degree, "ok": report.ok}
     payload["mismatches"] = [

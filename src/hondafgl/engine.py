@@ -7,20 +7,19 @@ comes out of the Witt-polynomial recursion
 
     F(x, y) = F(x + y, w_1(x, y)^q, w_2(x, y)^(q^2), ...),
 
-where the many-argument F is the iterated formal sum.  F is associative, so
-modulo y^(q^(n+1)) that sum, bracketed from the inside, collapses through
-already-known levels:
+where the many-argument F is the iterated formal sum: with b_j equal to
+(w_j mod p)^(q^j) for every j >= 0, so b_0 = w_0 = x + y, it is F(b_0, ..., b_n)
+modulo y^(q^(n+1)).  F is associative, so bracketed from the inside it
+collapses through already-known levels by one step rule, S_n = b_n and
 
-    S_n     = b_n,                      with b_j = (w_j mod p)^(q^j),
-    S_j     = P_{n-j}(b_j, S_{j+1})     for j = n-1 .. 1,
-    P_{n+1} = P_n(x + y, S_1),
+    S_j = P_{n-j}(b_j, S_{j+1})   for j = n-1 .. 0,   P_{n+1} = S_0,
 
-every product truncated at y-exponent < q^(n+1); the x-images are only the
-small b_j and x + y.  Since q^j is a power of p, b_j is a Frobenius twist over
-F_p: every exponent of w_j mod p times q^j (see `ring`), with no product
+every product truncated at y-exponent < q^(n+1); as P_1 = x + y, S_{n-1} is
+the sum b_{n-1} + S_n.  Since q^j is a power of p, b_j is a Frobenius twist
+over F_p: every exponent of w_j mod p times q^j (see `ring`), with no product
 formed.  Each step is exact because S_{j+1} is divisible by y^(q^(j+1)), so
 the neglected tail S_{j+1}^(q^(n-j)) vanishes modulo y^(q^(n+1)); `extend`
-asserts at run time that y^(q^j) divides every S_j rather than assuming it.
+asserts at run time that y^(q^j) divides every S_j, j >= 1, not assuming it.
 
 The y-cap q^n is the engine's resource guard: `build_tower` refuses a tower
 whose top y-cap is past the limit before it builds any level, and `extend`
@@ -46,9 +45,7 @@ from .errors import (
     too_long_to_print,
 )
 from .ring import SparsePoly, TruncationPolicy, _is_prime, prime_field
-from .witt import witt_family, witt_mod_p
-
-VARS = ("x", "y")
+from .witt import VARS, witt_family, witt_mod_p
 
 DEFAULT_MAX_Y_CAP = 10**4
 
@@ -102,9 +99,9 @@ def initial_fgl(params: FglParams) -> TruncatedFgl:
 
 
 def extend(tower: Sequence[TruncatedFgl]) -> TruncatedFgl:
-    """Compute P_{n+1} from the tower P_1 .. P_n by the inside-out ladder.
-    Its one certificate, y^(q^j) divides S_j, also certifies b_j: below
-    y^(q^(j+1)), S_j equals b_j, as F(X, 0) = X and F(0, Y) = Y."""
+    """P_{n+1} = F(b_0, ..., b_n) by the inside-out ladder, one step per j = n .. 0:
+    S_n = b_n and the P_1 step are sums, the rest substitutions.  Its one
+    certificate, y^(q^j) divides S_j for j >= 1, also certifies b_j."""
     params, n = _validate_tower(tower)
     q = params.q
     new_cap = q ** (n + 1)
@@ -112,17 +109,16 @@ def extend(tower: Sequence[TruncatedFgl]) -> TruncatedFgl:
     trunc = TruncationPolicy(new_cap, "y")
     wbar = witt_mod_p(witt_family(params.p, n))
 
-    y_index = VARS.index("y")
-    for j in range(n, 0, -1):
+    inner = SparsePoly.zero(VARS, params.fp)
+    for j in range(n, -1, -1):
         bj = wbar[j].pow(q**j, trunc)
-        inner = bj if j == n else tower[n - j - 1].poly.substitute({"x": bj, "y": inner}, trunc)
-        bad = [e for e in inner.terms if e[y_index] < q**j]
-        if bad:
+        inner = bj + inner if j >= n - 1 else tower[n - j - 1].poly.substitute({"x": bj, "y": inner}, trunc)
+        if j and (bad := [e for e in inner.terms if e[1] < q**j]):
             raise InternalConsistencyError(
                 f"ladder certificate failed at level {n + 1}: "
                 f"S_{j} has monomials {bad} with y-exponent < q^{j} = {q**j}"
             )
-    return TruncatedFgl(params, n + 1, tower[n - 1].poly.substitute({"x": tower[0].poly, "y": inner}, trunc))
+    return TruncatedFgl(params, n + 1, inner)
 
 
 def build_tower(params: FglParams, level: int) -> list[TruncatedFgl]:
@@ -219,8 +215,7 @@ def law_p_series(law: SparsePoly, k: int, bound: int) -> SparsePoly:
     exactly on the monomials x^i y^j with i + j < bound: every series
     substituted has no constant term.
     """
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {shown(k)}")
+    _check_k(k)
     trunc = TruncationPolicy(bound, "x")
     x = SparsePoly.variable(("x",), law.domain, "x")
     series = x
@@ -270,3 +265,8 @@ def _validate_tower(tower: Sequence[TruncatedFgl]) -> tuple[FglParams, int]:
         if f.poly.variables != VARS:
             raise StructuralError(f"tower polynomials must live in {VARS}")
     return params, len(tower)
+
+
+def _check_k(k: int):
+    if k < 0:
+        raise ParameterError(f"k must be >= 0, got {shown(k)}")

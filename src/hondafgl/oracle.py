@@ -35,8 +35,7 @@ from typing import NamedTuple
 from .engine import DEFAULT_MAX_Y_CAP, FglParams, TruncatedFgl, law_p_series
 from .errors import InternalConsistencyError, ParameterError, StructuralError, guard, shown
 from .ring import INTEGERS, RATIONALS, SparsePoly, TruncationPolicy, _grlex_sorted
-
-VARS = ("x", "y")
+from .witt import VARS
 
 
 def honda_log(params: FglParams, degree: int) -> SparsePoly:
@@ -102,7 +101,6 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
     exponents the y-cap does.
     """
     _check_degree(degree)
-    guard(degree, DEFAULT_MAX_Y_CAP, "the total degree D of the oracle")
     trunc = TruncationPolicy(degree)
     p = params.p
     log = {e: c * p ** (e[0] - 1) for e, c in honda_log(params, degree).terms.items()}
@@ -217,3 +215,4 @@ def check_associativity(oracle: OracleFgl) -> AssociativityReport:
 def _check_degree(degree: int):
     if degree < 2:
         raise ParameterError(f"degree bound must be >= 2, got {shown(degree)}")
+    guard(degree, DEFAULT_MAX_Y_CAP, "the total degree D of the oracle")

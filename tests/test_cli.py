@@ -210,6 +210,31 @@ def test_huge_powers_refused_at_once(capsys, monkeypatch, argv, status, err):
     assert got == (status, "", f"fgl: {kind}: {err}\n")
 
 
+@pytest.mark.parametrize(
+    "argv,status,err",
+    [
+        ("pseries --p 2 --s 2 --level 8 --k -1", 2, "k must be >= 0, got -1"),
+        ("verify --p 2 --s 2 --level 8 --degree 1", 2, "degree bound must be >= 2, got 1"),
+        # 0 is a bad degree, not a missing one: it must not fall to the default
+        ("verify --p 2 --s 2 --level 8 --degree 0", 2, "degree bound must be >= 2, got 0"),
+        ("verify --p 2 --s 2 --level 8 --degree -5", 2, "degree bound must be >= 2, got -5"),
+        ("verify --p 2 --s 2 --level 8 --degree 1000000", 3, "the total degree D of the oracle is 1000000, beyond the limit 10000"),
+        # the tower would be refused too; the parameter is checked first
+        ("verify --p 2 --s 2 --level 30 --degree 1", 2, "degree bound must be >= 2, got 1"),
+        ("pseries --p 2 --s 2 --level 30 --k -1", 2, "k must be >= 0, got -1"),
+    ],
+)
+def test_bad_parameters_refused_before_the_tower(capsys, monkeypatch, argv, status, err):
+    import hondafgl.engine as eng
+
+    def no_tower(params, level):
+        raise AssertionError("a tower was built")
+
+    monkeypatch.setattr(eng, "build_tower", no_tower)
+    kind = "resource guard" if status == 3 else "invalid parameters"
+    assert run_cli(capsys, *argv.split()) == (status, "", f"fgl: {kind}: {err}\n")
+
+
 def test_largest_printable_multiplier(capsys):
     status, out, err = run_cli(capsys, "pseries", "--p", "2", "--s", "2", "--level", "3", "--k", "14284")
     assert (status, err) == (0, "")

@@ -319,6 +319,23 @@ def test_degree_bound_example_p2_s2():
     assert report.windows[2] == (2, 16)
 
 
+@pytest.mark.parametrize("p,s,level", [(2, 2, 8), (3, 2, 5), (5, 2, 4), (7, 2, 3), (2, 3, 4), (3, 3, 3)])
+def test_degree_windows_are_sharp(p, s, level):
+    # observed at these towers, not proved: for m >= 2 the largest x-exponent
+    # among the terms with y-exponent < q^m is q^(m-1)(p^(m-1) - 1), met only
+    # by the monomial x^(q^(m-1)(p^(m-1) - 1)) y^(q^(m-1)), with coefficient
+    # p - 1; the report still states the bound (pq)^m
+    params = FglParams(p, s)
+    q = params.q
+    f = build_tower(params, level)[-1]
+    windows = verify_degree_bound(f).windows
+    for m in range(2, level + 1):
+        top = q ** (m - 1) * (p ** (m - 1) - 1)
+        assert windows[m] == (top, (p * q) ** m), f"window m={m}"
+        attained = {e: c for e, c in f.poly.terms.items() if e[0] == top and e[1] < q**m}
+        assert attained == {(top, q ** (m - 1)): p - 1}, f"window m={m}"
+
+
 def test_degree_bound_reports_violations():
     params = FglParams(2, 2)
     fake = TruncatedFgl(params, 2, fp_poly(2, {(1, 0): 1, (0, 1): 1, (20, 1): 1}))

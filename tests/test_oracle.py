@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hondafgl.engine import FglParams, TruncatedFgl, build_tower
-from hondafgl.errors import InternalConsistencyError, ParameterError, StructuralError
+from hondafgl.errors import InternalConsistencyError, ParameterError, ResourceLimitError, StructuralError
 from hondafgl.oracle import (
     check_associativity,
     compare,
@@ -42,6 +42,16 @@ def test_honda_log_truncates_to_x():
 def test_honda_log_degree_validation():
     with pytest.raises(ParameterError):
         honda_log(FglParams(2, 2), 1)
+
+
+def test_every_oracle_entry_point_checks_the_degree_alike():
+    # one check for D: below 2 is a bad parameter, past the limit a refusal
+    x = qpoly(X, {(1,): 1})
+    for call in (lambda d: honda_log(FglParams(2, 2), d), lambda d: revert_series(x, d), lambda d: oracle_fgl(FglParams(2, 2), d)):
+        with pytest.raises(ParameterError, match=r"^degree bound must be >= 2, got 1$"):
+            call(1)
+        with pytest.raises(ResourceLimitError, match=r"^the total degree D of the oracle is 10001, beyond the limit 10000$"):
+            call(10**4 + 1)
 
 
 # ---- reversion ------------------------------------------------------------------
