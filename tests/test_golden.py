@@ -13,8 +13,10 @@ reversion and composition moved from Q to Z, the next at commit
 b0f1d1b, before the oracle composed E(L(u) + L(v)) by the binomial theorem,
 the next at commit 16fdaaf, before the records became named tuples, the
 next at commit 4426354, before `to_text` rendered in C-level passes and a sum
-reduced only the addend's terms, and the last at commit 49b9098, before
-`extend` bracketed the collapse ladder from the inside.  DIGESTS pins, by the
+reduced only the addend's terms, the next at commit 49b9098, before
+`extend` bracketed the collapse ladder from the inside, and the last at
+commit 9dd58af, before products were added straight into their
+destination's term map.  DIGESTS pins, by the
 sha256 of its stdout, one more command frozen at 4426354, one at 49b9098 and
 one at f201360, whose outputs are too large to commit.
 The c37dfb6 entries are the determinism commands of test_acceptance.py and
@@ -36,7 +38,9 @@ text in eight variables, the same digest as perfbench's.  The 49b9098 entry
 is (7,2) level 4, 138 KB, which the left-bracketed ladder took about two
 minutes to reach on a 2-vCPU host; its digest is (3,2) level 6, 245 KB, about
 40 s there.  The f201360 digest is (2,2) level 9, 605 KB, about 4.5 s there,
-frozen before every step of the ladder took one rule.  A change to any of
+frozen before every step of the ladder took one rule.  The 9dd58af entry is
+the associativity check at D 129: three-variable substitutions under a
+total-degree cap, deeper than the D 17 entry.  A change to any of
 these outputs is a change of behaviour, not a refactor: the files are not to
 be regenerated to make this test pass.
 """
@@ -107,6 +111,8 @@ GOLDEN = {
     "witt-p5-j4.txt": "witt --p 5 --jmax 4",
     # frozen at 49b9098
     "compute-p7-s2-l4.txt": "compute --p 7 --s 2 --level 4",
+    # frozen at 9dd58af
+    "oracle-p2-s2-d129-assoc.txt": "oracle --p 2 --s 2 --degree 129 --check-associativity",
 }
 
 # argv -> sha256 of its stdout, frozen at 4426354, at 49b9098 and at f201360
