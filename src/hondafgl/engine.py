@@ -44,7 +44,7 @@ from .errors import (
     shown,
     too_long_to_print,
 )
-from .ring import SparsePoly, TruncationPolicy, _is_prime, prime_field
+from .ring import SparsePoly, TruncationPolicy, _is_int, _is_prime, prime_field
 from .witt import VARS, witt_family, witt_mod_p
 
 DEFAULT_MAX_Y_CAP = 10**4
@@ -62,9 +62,9 @@ class FglParams(NamedTuple("FglParams", [("p", int), ("s", int)])):
     __slots__ = ()
 
     def __new__(cls, p: int, s: int):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not _is_int(p) or not _is_prime(p):
             raise ParameterError(f"p must be prime, got {shown(p)}")
-        if not isinstance(s, int) or s < 1:
+        if not _is_int(s) or s < 1:
             raise ParameterError(f"s must be a positive integer, got {shown(s)}")
         return super().__new__(cls, p, s)
 

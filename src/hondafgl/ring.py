@@ -55,6 +55,11 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+def _is_int(n) -> bool:
+    """An int that is not a bool: True would pass as 1 and print as True."""
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
 def _is_prime(n: int) -> bool:
     """Miller-Rabin over the 13 primes 2..41, which decides every n below
     _PRIME_LIMIT (Sorenson & Webster 2015); a larger n is refused."""
@@ -140,7 +145,7 @@ class TruncationPolicy(NamedTuple("TruncationPolicy", [("bound", int | None), ("
     __slots__ = ()
 
     def __new__(cls, bound: int | None = None, var: str | None = None):
-        if bound is not None and not isinstance(bound, int):
+        if bound is not None and not _is_int(bound):
             raise StructuralError(f"truncation bound {bound!r} is a {type(bound).__name__}, not an int")
         if bound is not None and bound < 0:
             raise StructuralError(f"negative truncation bound {shown(bound)}")
@@ -151,6 +156,7 @@ NO_TRUNCATION = TruncationPolicy()
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 _CHECKED: set[tuple[str, ...]] = set()  # variable tuples already validated
+_BLOCK = 2048  # terms `to_text` joins at a time
 
 
 def _grlex_sorted(exponents) -> list[Exponent]:
@@ -189,7 +195,7 @@ class SparsePoly:
             e = tuple(e)
             if len(e) != len(variables):
                 raise StructuralError(f"exponent {e} has wrong arity for {variables}")
-            if any(not isinstance(k, int) or k < 0 for k in e):
+            if any(not _is_int(k) or k < 0 for k in e):
                 raise StructuralError(f"exponents must be non-negative integers, got {e}")
             c = domain.normalize(c)
             if c:
@@ -294,10 +300,15 @@ class SparsePoly:
 
     def mul(self, other: "SparsePoly", trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """Product with every monomial whose weight reaches `trunc`'s bound
-        dropped.  other's terms ascend in the weight, so those that pass with
-        e1 are a prefix, cut by one bisection: the only truncation test.
-        The result is independent of term order: coefficients are accumulated
-        exactly and reduced once at the end."""
+        dropped: `_mul_into` a fresh map, reduced once at the end."""
+        return SparsePoly._trusted(self.variables, self.domain, self._mul_into({}, other, trunc))
+
+    def _mul_into(self, out: dict, other: "SparsePoly", trunc: TruncationPolicy, scale: Coeff = 1) -> dict:
+        """Add scale * self * other, modulo `trunc`, into the term map `out`,
+        which the caller owns, and return it unreduced.  other's terms ascend
+        in the weight, so those that pass with e1 are a prefix, cut by one
+        bisection: the only truncation test.  Coefficients are accumulated
+        exactly, so the result is independent of term order."""
         self._check_compatible(other)
         if trunc.var is not None and trunc.var not in self.variables:
             raise StructuralError(f"truncation variable {trunc.var!r} is not one of {self.variables}")
@@ -305,17 +316,17 @@ class SparsePoly:
         bound = float("inf") if trunc.bound is None else trunc.bound
         rows = sorted(other.terms.items(), key=lambda t: weight(t[0]))
         weights = [weight(e) for e, _ in rows]
-        out: dict[Exponent, Coeff] = {}
         for e1, c1 in self.terms.items():
+            c1 *= scale
             for e2, c2 in rows[: bisect_left(weights, bound - weight(e1))]:
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return SparsePoly._trusted(self.variables, self.domain, out)
+        return out
 
     def pow(self, exponent: int, trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """self^exponent modulo `trunc`.  Every power goes through `_powers`:
         twists over F_p, consecutive products over Z and Q."""
-        if not isinstance(exponent, int) or exponent < 0:
+        if not _is_int(exponent) or exponent < 0:
             raise StructuralError(f"exponent must be a non-negative int, got {shown(exponent)}")
         return self._powers(trunc)(exponent)
 
@@ -388,14 +399,16 @@ class SparsePoly:
             power = img._powers(trunc)
             powers.append({k: power(k) for k in {e[i] for e in self.terms}})
 
+        # the last factor of each term is multiplied straight into out, scaled
+        # by the term's coefficient; out is reduced once, at the end
         out: dict[Exponent, Coeff] = {}
+        one = SparsePoly.one(first.variables, first.domain)
         for e, c in self.terms.items():
-            factors = [powers[i][k] for i, k in enumerate(e) if k] or [powers[0][0]]
-            term = factors[0]
-            for factor in factors[1:]:
+            *head, last = [powers[i][k] for i, k in enumerate(e) if k] or [powers[0][0]]
+            term = head[0] if head else one
+            for factor in head[1:]:
                 term = term.mul(factor, trunc)
-            for te, tc in term.terms.items():
-                out[te] = out.get(te, 0) + tc * c
+            term._mul_into(out, last, trunc, c)
         return SparsePoly._trusted(first.variables, first.domain, out)
 
     def map_domain(self, target: Domain) -> "SparsePoly":
@@ -430,16 +443,24 @@ class SparsePoly:
         the sort and a head ' + c' or ' - c' per distinct coefficient run in
         Python; C-level maps join the terms from the heads and the factors
         '*v^k', each made on first use.  Then a coefficient 1 is dropped by
-        replacing ' + 1*' and ' - 1*': no monomial holds a space."""
+        replacing ' + 1*' and ' - 1*': no monomial holds a space.  Terms are
+        joined in blocks of _BLOCK, so no list holds every term's string."""
         if not self.terms:
             return "0"
         terms, order = self.terms, _grlex_sorted(self.terms)
         heads = {c: f" - {-c}" if c < 0 else f" + {c}" for c in set(terms.values())}
         factors = [_Factors({0: "", 1: f"*{v}"}) for v in self.variables]
-        monos = map("".join, map(map, repeat(getitem), repeat(factors), order))
-        text = "".join(map(add, map(heads.__getitem__, map(terms.__getitem__, order)), monos))
-        text = text.replace(" + 1*", " + ").replace(" - 1*", " - ")
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+
+        def block(start: int) -> str:
+            chunk = order[start : start + _BLOCK]
+            monos = map("".join, map(map, repeat(getitem), repeat(factors), chunk))
+            text = "".join(map(add, map(heads.__getitem__, map(terms.__getitem__, chunk)), monos))
+            return text.replace(" + 1*", " + ").replace(" - 1*", " - ")
+
+        blocks = list(map(block, range(0, len(order), _BLOCK)))
+        text = blocks[0]
+        blocks[0] = text[3:] if text[1] == "+" else "-" + text[3:]
+        return "".join(blocks)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -467,8 +488,9 @@ def elementary_symmetric_all(
     """All sigma_0 .. sigma_m of the given polynomials (sigma_0 = 1).
 
     Computed through the generating function prod_j (1 + z*v_j): the list is
-    the coefficient vector in z, updated one factor at a time with every
-    product truncated.
+    the coefficient vector in z, updated one factor at a time.  Each new
+    sigma_k is a copy of sigma_k's terms with sigma_(k-1) * v, truncated,
+    multiplied straight into it, and reduced once.
     """
     values = list(values)
     if not values:
@@ -476,10 +498,11 @@ def elementary_symmetric_all(
     first = values[0]
     for v in values[1:]:
         first._check_compatible(v)
-    sig = [SparsePoly.one(first.variables, first.domain)]
+    variables, domain = first.variables, first.domain
+    sig = [SparsePoly.one(variables, domain)]
     for v in values:
-        nxt = [sig[0]]
-        for k in range(1, len(sig)):
-            nxt.append(sig[k] + sig[k - 1].mul(v, trunc))
-        sig = nxt + [sig[-1].mul(v, trunc)]
+        sig[1:] = [
+            SparsePoly._trusted(variables, domain, prev._mul_into(dict(cur), v, trunc))
+            for prev, cur in zip(sig, [*(t.terms for t in sig[1:]), {}])
+        ]
     return sig

@@ -76,6 +76,11 @@ def test_params_validation():
         FglParams(2, 0)
     with pytest.raises(ParameterError, match="^s must be a positive integer, got 2.0$"):
         FglParams(2, 2.0)
+    # a bool used to pass as an int: FglParams(3, True) printed as s=True
+    with pytest.raises(ParameterError, match="^s must be a positive integer, got True$"):
+        FglParams(3, True)
+    with pytest.raises(ParameterError, match="^p must be prime, got True$"):
+        FglParams(True, 2)
     # accepted for the oracle; the recursion refuses it
     assert FglParams(2, 1).q == 1
 

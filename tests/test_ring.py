@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -135,6 +136,10 @@ def test_variable_validation():
     for bad in ({("a",): 1}, {(None,): 1}):
         with pytest.raises(StructuralError, match="^exponents must be non-negative integers"):
             poly(("x",), INTEGERS, bad)
+    # a bool exponent used to be stored, and to_json_dict then emitted "e": [true]
+    for bad in ({(True, 0): 1}, {(0, False): 1}):
+        with pytest.raises(StructuralError, match=r"^exponents must be non-negative integers, got \((True, 0|0, False)\)$"):
+            poly(XY, F2, bad)
 
 
 # ---- add -------------------------------------------------------------------
@@ -210,7 +215,8 @@ def test_pow_monomial():
 
 
 def test_pow_negative_exponent_rejected():
-    for exponent, shown_as in ((-1, "-1"), (2.5, "2.5"), ("3", "'3'"), (None, "None")):
+    # a bool exponent used to pass: pow(True) returned the polynomial itself
+    for exponent, shown_as in ((-1, "-1"), (2.5, "2.5"), ("3", "'3'"), (None, "None"), (True, "True"), (False, "False")):
         with pytest.raises(StructuralError, match=f"^exponent must be a non-negative int, got {re.escape(shown_as)}$"):
             SparsePoly.one(XY, F2).pow(exponent)
 
@@ -273,7 +279,8 @@ def test_truncation_policy_rejects_negative_cap():
         with pytest.raises(StructuralError, match="^negative truncation bound -1$"):
             TruncationPolicy(-1, var)
     # a bound that is not an int used to fail on its sign test ("3") or cut like 3 (2.5)
-    for bound, message in (("3", "'3' is a str"), (2.5, "2.5 is a float")):
+    # and a bool was accepted as a bound of 1 or 0
+    for bound, message in (("3", "'3' is a str"), (2.5, "2.5 is a float"), (True, "True is a bool"), (False, "False is a bool")):
         with pytest.raises(StructuralError, match=f"^truncation bound {re.escape(message)}, not an int$"):
             TruncationPolicy(bound, "y")
     t = TruncationPolicy(3, "y")
@@ -498,6 +505,31 @@ def test_sigma_basics():
     assert elementary_symmetric_all([x1, x2, x3])[2] == (
         x1.mul(x2) + x1.mul(x3) + x2.mul(x3)
     )
+
+
+@pytest.mark.parametrize("domain", [F2, F3, INTEGERS, RATIONALS], ids=str)
+def test_sigma_all_match_their_definition(domain):
+    # sigma_k is the sum over k-subsets of the truncated products, under a
+    # variable cap, a total-degree cap and none; the inputs stay untouched
+    rng = random.Random(f"sigma {domain}")
+    variables = ("x", "y", "z")
+    one = SparsePoly.one(variables, domain)
+    for trunc in (NO_TRUNCATION, TruncationPolicy(3, "y"), TruncationPolicy(5)):
+        for m in (1, 2, 3, 4):
+            values = [random_poly(rng, variables, domain, max_terms=4, max_exp=2) for _ in range(m)]
+            before = [dict(v.terms) for v in values]
+            sigmas = elementary_symmetric_all(values, trunc)
+            assert [v.terms for v in values] == before
+            assert len(sigmas) == m + 1
+            for k, sigma in enumerate(sigmas):
+                expected = SparsePoly.zero(variables, domain)
+                for subset in combinations(values, k):
+                    product = one
+                    for v in subset:
+                        product = product.mul(v, trunc)
+                    expected = expected + product
+                assert sigma == expected, (trunc, m, k)
+                assert_canonical(sigma)
 
 
 def test_sigma_all_equal_degenerate():
