@@ -15,6 +15,12 @@ exclusive bound on one weight, the exponent of one variable or the total
 degree, which keeps intermediate results small when working modulo y^N or
 modulo a total degree.
 
+Every product is formed by one kernel, `_mul_into`, which adds its term
+pairs straight into a term map its caller owns: a fresh map for `mul`, the
+running sum for substitution, a copy of sigma_k for the elementary symmetric
+polynomials.  No product of a sum becomes a polynomial of its own, and the
+map is reduced once, when the result is made.
+
 Validation happens at the boundary: the constructor checks each variable
 tuple once (and remembers it), and every exponent and coefficient it is
 given.  Results of the ring's own arithmetic are right by construction, so
@@ -300,7 +306,8 @@ class SparsePoly:
 
     def mul(self, other: "SparsePoly", trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """Product with every monomial whose weight reaches `trunc`'s bound
-        dropped: `_mul_into` a fresh map, reduced once at the end."""
+        dropped: its term pairs accumulate in a fresh map, through
+        `_mul_into`, which is reduced once at the end."""
         return SparsePoly._trusted(self.variables, self.domain, self._mul_into({}, other, trunc))
 
     def _mul_into(self, out: dict, other: "SparsePoly", trunc: TruncationPolicy, scale: Coeff = 1) -> dict:
