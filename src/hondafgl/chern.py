@@ -70,8 +70,10 @@ def relation_set(params: FglParams, k: int) -> ChernRelationSet:
     fp = params.fp
     u = SparsePoly.variable(variables, fp, "u")
     roots = [SparsePoly.variable(variables, fp, f"x{j}") for j in range(1, m + 1)]
-    shifted = [top.substitute({"x": r, "y": u}, trunc) for r in roots]
-    sigma_shifted = elementary_symmetric_all(shifted, trunc)
+    sigma = elementary_symmetric_all([top.substitute({"x": r, "y": u}, trunc) for r in roots], trunc)
     sigma_roots = elementary_symmetric_all(roots, trunc)
-    relations = tuple(sigma_shifted[i] - sigma_roots[i] for i in range(1, m + 1))
-    return ChernRelationSet(params, k, m, n, u_cap, variables, relations)
+    relations = []
+    for i in range(1, m + 1):  # sigma_i(shifted) goes once relation_i is made
+        relations.append(sigma[i] - sigma_roots[i])
+        sigma[i] = None
+    return ChernRelationSet(params, k, m, n, u_cap, variables, tuple(relations))

@@ -8,9 +8,10 @@ from the environment at each check; a tower deeper than the y-cap allows is
 refused before any level is built.
 Each subcommand returns (payload, text, status): `payload` is the --json
 object, its polynomials still SparsePoly values, and `text` a generator
-function of the text lines, its polynomials rendered through str.  No
-subcommand looks at the output form; `main` alone renders the one asked for
-and writes it.
+function of the text lines, each a string, a SparsePoly, or a tuple of
+them.  No subcommand looks at the output form; `main` alone renders the one
+asked for and writes it, a polynomial block by block, so no line's whole
+text is built.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _cmd_witt(args):
     def text():
         yield f"# witt p={args.p} jmax={args.jmax} ring={f'F_{args.p}' if args.mod_p else 'Z'}"
         for j, w in enumerate(polys):
-            yield f"w_{j} = {w}"
+            yield f"w_{j} = ", w
 
     return payload, text, 0
 
@@ -127,7 +128,7 @@ def _cmd_compute(args):
         yield f.poly
         if args.coeff_table:
             yield ""
-            yield from (f"A_{l} = {a}" for l, a in table)
+            yield from ((f"A_{l} = ", a) for l, a in table)
         if args.verify_degree_bound:
             passed = "; ".join(f"m={m}: max x-exponent {mx} <= {bd}" for m, (mx, bd) in windows)
             failed = ", ".join(f"x^{i}*y^{j} in window m={m}" for i, j, m in report.violations)
@@ -156,7 +157,7 @@ def _cmd_pseries(args):
             f"# pseries p={params.p} s={params.s} level={args.level} k={args.k} "
             f"multiplier={multiplier} valid_below=x^{series.valid_below}"
         )
-        yield f"[{multiplier}](x) = {series.poly}"
+        yield f"[{multiplier}](x) = ", series.poly
 
     return payload, text, 0
 
@@ -178,7 +179,7 @@ def _cmd_oracle(args):
 
     def text():
         yield f"# oracle p={params.p} s={params.s} degree={args.degree}"
-        yield f"F mod p = {orc.poly_mod_p}"
+        yield "F mod p = ", orc.poly_mod_p
         for name, ok in checks.items():
             yield f"check {name}: {'pass' if ok else 'FAIL'}"
 
@@ -212,7 +213,7 @@ def _cmd_chern(args):
     def text():
         yield f"# chern p={args.p} s={args.s} k={rels.k} m={rels.m} level={rels.level} u_cap={rels.u_cap}"
         for i, r in enumerate(rels.relations, start=1):
-            yield f"relation_{i} = {r}"
+            yield f"relation_{i} = ", r
 
     return payload, text, 0
 
@@ -225,6 +226,15 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "chern": _cmd_chern,
 }
+
+
+def _text_chunks(lines):
+    """The text lines as the pieces they are written in: a polynomial as its
+    blocks, so no more than one block's text is held at a time."""
+    for line in lines:
+        for part in line if isinstance(line, tuple) else (line,):
+            yield from part.text_blocks() if isinstance(part, SparsePoly) else (part,)
+        yield "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -244,16 +254,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         import json  # only --json uses it; a text run does not load it
 
-        lines = [json.dumps(payload, separators=(",", ":"), default=SparsePoly.to_json_dict) + "\n"]
+        chunks = [json.dumps(payload, separators=(",", ":"), default=SparsePoly.to_json_dict), "\n"]
     else:
-        # written one at a time, so no more than one line's text is held
-        lines = (f"{line}\n" for line in text())
+        chunks = _text_chunks(text())
     if not args.out:
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(chunks)
         return status
     try:
         with open(args.out, "w") as fh:
-            fh.writelines(lines)
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"fgl: invalid parameters: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
         return 2

@@ -28,18 +28,18 @@ the overlap region {x^i y^j : i + j < D, j < q^n}.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
 from .engine import DEFAULT_MAX_Y_CAP, FglParams, TruncatedFgl, law_p_series
 from .errors import InternalConsistencyError, ParameterError, StructuralError, guard, shown
-from .ring import INTEGERS, RATIONALS, SparsePoly, TruncationPolicy, _grlex_sorted
+from .ring import INTEGERS, RATIONALS, SparsePoly, TruncationPolicy, _fraction, _grlex_sorted
 from .witt import VARS
 
 
 def honda_log(params: FglParams, degree: int) -> SparsePoly:
     """The logarithm sum_{i>=0, p^(s*i) < degree} x^(p^(s*i)) / p^i, over Q."""
+    Fraction = _fraction()
     _check_degree(degree)
     guard((params.p, params.s), DEFAULT_MAX_Y_CAP, "the exponent p^s of the Honda logarithm")
     terms = {}
@@ -100,6 +100,7 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
     refuses a degree D beyond DEFAULT_MAX_Y_CAP: D bounds the same bivariate
     exponents the y-cap does.
     """
+    Fraction = _fraction()
     _check_degree(degree)
     trunc = TruncationPolicy(degree)
     p = params.p
@@ -168,8 +169,8 @@ def compare(engine_fgl: TruncatedFgl, oracle: OracleFgl) -> CompareReport:
     for (i, j) in _grlex_sorted(keys):
         if i + j >= d or j >= y_cap:
             continue
-        ec = engine_fgl.poly.coefficient((i, j))
-        oc = oracle.poly_mod_p.coefficient((i, j))
+        ec = engine_fgl.poly.terms.get((i, j), 0)
+        oc = oracle.poly_mod_p.terms.get((i, j), 0)
         if ec != oc:
             mismatches.append((i, j, ec, oc))
     return CompareReport(engine_fgl.params, engine_fgl.level, d, tuple(mismatches))

@@ -3,7 +3,8 @@
 A polynomial is a finite map from exponent tuples (one entry per variable of
 an explicit, ordered variable set) to nonzero coefficients.  Coefficients are
 plain ints for the integer and prime-field domains and `fractions.Fraction`
-for the rational domain; prime-field residues are kept canonical in [0, p).
+for the rational domain, imported only where one is made; prime-field
+residues are kept canonical in [0, p).
 Zero coefficients are never stored, so equality of term maps is equality of
 polynomials.
 
@@ -17,9 +18,11 @@ modulo a total degree.
 
 Every product is formed by one kernel, `_mul_into`, which adds its term
 pairs straight into a term map its caller owns: a fresh map for `mul`, the
-running sum for substitution, a copy of sigma_k for the elementary symmetric
+running sum for substitution, sigma_k itself for the elementary symmetric
 polynomials.  No product of a sum becomes a polynomial of its own, and the
-map is reduced once, when the result is made.
+map is reduced once, when the result is made.  The right factor enters the
+kernel sorted by the truncation weight (`_by_weight`), once per factor
+however many products it enters.
 
 Validation happens at the boundary: the constructor checks each variable
 tuple once (and remembers it), and every exponent and coefficient it is
@@ -42,15 +45,15 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from operator import add, getitem, itemgetter
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import IntegralityError, ParameterError, StructuralError, shown
 
 Exponent = tuple[int, ...]
-Coeff = Union[int, Fraction]
+Coeff = Union[int, "Fraction"]  # fractions.Fraction
 
 _FP = "fp"
 _INT = "int"
@@ -64,6 +67,15 @@ _PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 def _is_int(n) -> bool:
     """An int that is not a bool: True would pass as 1 and print as True."""
     return isinstance(n, int) and not isinstance(n, bool)
+
+
+@cache
+def _fraction() -> type:
+    """fractions.Fraction, imported where a Q coefficient is first made: it
+    loads decimal and numbers too, which nothing over F_p or Z needs."""
+    from fractions import Fraction
+
+    return Fraction
 
 
 def _is_prime(n: int) -> bool:
@@ -109,16 +121,17 @@ class Domain(NamedTuple("Domain", [("kind", str), ("p", int | None)])):
 
     def normalize(self, c) -> Coeff:
         """Bring a raw coefficient, an int or a Fraction, into canonical form
-        for this domain."""
+        for this domain.  An int over F_p or Z takes no import."""
+        if isinstance(c, int) and self.kind != _RAT:
+            return c % self.p if self.kind == _FP else int(c)
+        Fraction = _fraction()
         if not isinstance(c, (int, Fraction)):
             raise StructuralError(f"coefficient {c!r} is a {type(c).__name__}, not an int or a Fraction")
         if self.kind == _RAT:
             return c if isinstance(c, Fraction) else Fraction(c)
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise StructuralError(f"non-integer coefficient {c} over {self}")
-            c = c.numerator
-        return c % self.p if self.kind == _FP else int(c)
+        if c.denominator != 1:
+            raise StructuralError(f"non-integer coefficient {c} over {self}")
+        return c.numerator % self.p if self.kind == _FP else c.numerator
 
     def to_json_dict(self) -> dict:
         if self.kind == _FP:
@@ -162,7 +175,17 @@ NO_TRUNCATION = TruncationPolicy()
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 _CHECKED: set[tuple[str, ...]] = set()  # variable tuples already validated
-_BLOCK = 2048  # terms `to_text` joins at a time
+_BLOCK = 2048  # terms per block of `text_blocks`
+
+
+def _exponent(e, variables: tuple[str, ...]) -> Exponent:
+    """e as a tuple, checked: one non-negative int per variable."""
+    e = tuple(e)
+    if len(e) != len(variables):
+        raise StructuralError(f"exponent {e} has wrong arity for {variables}")
+    if any(not _is_int(k) or k < 0 for k in e):
+        raise StructuralError(f"exponents must be non-negative integers, got {e}")
+    return e
 
 
 def _grlex_sorted(exponents) -> list[Exponent]:
@@ -170,6 +193,33 @@ def _grlex_sorted(exponents) -> list[Exponent]:
     out = sorted(exponents, reverse=True)
     out.sort(key=sum)
     return out
+
+
+def _mul_into(out: dict, left: Iterable[tuple[Exponent, Coeff]], right: tuple, scale: Coeff = 1) -> dict:
+    """Add scale * left * right into the term map `out`, which the caller
+    owns, and return it unreduced.  `left` is any run of (exponent,
+    coefficient) pairs; `right` is a factor from `_by_weight`, whose terms
+    ascend in the weight, so those that pass with e1 are a prefix, cut by one
+    bisection: the only truncation test.  Coefficients are accumulated
+    exactly, so the result is independent of term order."""
+    rows, weights, weight, bound = right
+    for e1, c1 in left:
+        c1 *= scale
+        for e2, c2 in rows[: bisect_left(weights, bound - weight(e1))]:
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _reduce(terms: dict, p: int | None) -> dict:
+    """The term map `terms`, in place: reduced mod p over F_p (p None
+    otherwise), zeros dropped."""
+    if p:
+        for e, c in terms.items():
+            terms[e] = c % p
+    for e in [e for e, c in terms.items() if not c]:
+        del terms[e]
+    return terms
 
 
 class _Factors(dict):
@@ -198,12 +248,7 @@ class SparsePoly:
             _CHECKED.add(variables)
         clean: dict[Exponent, Coeff] = {}
         for e, c in (terms or {}).items():
-            e = tuple(e)
-            if len(e) != len(variables):
-                raise StructuralError(f"exponent {e} has wrong arity for {variables}")
-            if any(not _is_int(k) or k < 0 for k in e):
-                raise StructuralError(f"exponents must be non-negative integers, got {e}")
-            c = domain.normalize(c)
+            e, c = _exponent(e, variables), domain.normalize(c)
             if c:
                 clean[e] = c
         object.__setattr__(self, "variables", variables)
@@ -220,12 +265,7 @@ class SparsePoly:
         in place over F_p (over Q they are Fractions already), zeros dropped,
         unless the caller has `reduced` them already."""
         if not reduced:
-            if domain.kind == _FP:
-                p = domain.p
-                for e, c in terms.items():
-                    terms[e] = c % p
-            for e in [e for e, c in terms.items() if not c]:
-                del terms[e]
+            _reduce(terms, domain.p)
         poly = cls(variables, domain)
         object.__setattr__(poly, "terms", terms)
         return poly
@@ -265,7 +305,9 @@ class SparsePoly:
     __hash__ = None
 
     def coefficient(self, exponent: Exponent) -> Coeff:
-        return self.terms.get(tuple(exponent), self.domain.normalize(0))
+        """The coefficient of one monomial, 0 if absent; the exponent is
+        checked as the constructor checks it."""
+        return self.terms.get(_exponent(exponent, self.variables), self.domain.normalize(0))
 
     def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:
         """Terms in canonical graded-lex order."""
@@ -308,27 +350,23 @@ class SparsePoly:
         """Product with every monomial whose weight reaches `trunc`'s bound
         dropped: its term pairs accumulate in a fresh map, through
         `_mul_into`, which is reduced once at the end."""
-        return SparsePoly._trusted(self.variables, self.domain, self._mul_into({}, other, trunc))
-
-    def _mul_into(self, out: dict, other: "SparsePoly", trunc: TruncationPolicy, scale: Coeff = 1) -> dict:
-        """Add scale * self * other, modulo `trunc`, into the term map `out`,
-        which the caller owns, and return it unreduced.  other's terms ascend
-        in the weight, so those that pass with e1 are a prefix, cut by one
-        bisection: the only truncation test.  Coefficients are accumulated
-        exactly, so the result is independent of term order."""
         self._check_compatible(other)
+        return self._times(other._by_weight(trunc))
+
+    def _times(self, right: tuple) -> "SparsePoly":
+        """self * the factor `right`, sorted by `_by_weight`, as a polynomial."""
+        return SparsePoly._trusted(self.variables, self.domain, _mul_into({}, self.terms.items(), right))
+
+    def _by_weight(self, trunc: TruncationPolicy) -> tuple:
+        """self as the right factor of `_mul_into` modulo `trunc`: its terms
+        ascending in the weight, their weights, the weight and the bound.
+        Made once per factor, however many products it enters."""
         if trunc.var is not None and trunc.var not in self.variables:
             raise StructuralError(f"truncation variable {trunc.var!r} is not one of {self.variables}")
         weight = sum if trunc.var is None else itemgetter(self.variables.index(trunc.var))
+        rows = sorted(self.terms.items(), key=lambda t: weight(t[0]))
         bound = float("inf") if trunc.bound is None else trunc.bound
-        rows = sorted(other.terms.items(), key=lambda t: weight(t[0]))
-        weights = [weight(e) for e, _ in rows]
-        for e1, c1 in self.terms.items():
-            c1 *= scale
-            for e2, c2 in rows[: bisect_left(weights, bound - weight(e1))]:
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return out
+        return rows, [weight(e) for e, _ in rows], weight, bound
 
     def pow(self, exponent: int, trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """self^exponent modulo `trunc`.  Every power goes through `_powers`:
@@ -347,23 +385,27 @@ class SparsePoly:
         """The map k -> self^k modulo `trunc`, with self^0 = 1 truncated too.
         Over F_p, the product of the twists (self^d)^(p^r) over the nonzero
         digits d of k = sum d p^r; over Z and Q, self^(k-1) * self.  Each
-        self^d (d < p over F_p) and each twist is made once, when first needed."""
+        self^d (d < p over F_p) and each twist is made once, when first
+        needed, and sorted as a right factor once: self here, a twist when made."""
         p, digits, twists = self.domain.p, [SparsePoly.one(self.variables, self.domain).truncate(trunc)], {}
+        right = self._by_weight(trunc)
 
         def power(k: int) -> "SparsePoly":
             if p is None:
                 while len(digits) <= k:
-                    digits.append(digits[-1].mul(self, trunc))
+                    digits.append(digits[-1]._times(right))
                 return digits[k]
             out, factor = None, 1
             while k:
                 k, d = divmod(k, p)
                 if d:
                     while len(digits) <= d:
-                        digits.append(digits[-1].mul(self, trunc))
+                        digits.append(digits[-1]._times(right))
                     if (d, factor) not in twists:
-                        twists[d, factor] = digits[d]._twist(factor, trunc)
-                    out = twists[d, factor] if out is None else out.mul(twists[d, factor], trunc)
+                        twist = digits[d]._twist(factor, trunc)
+                        twists[d, factor] = twist, twist._by_weight(trunc)
+                    twist, by_weight = twists[d, factor]
+                    out = twist if out is None else out._times(by_weight)
                 factor *= p
             return digits[0] if out is None else out
 
@@ -399,23 +441,24 @@ class SparsePoly:
         if first.domain != self.domain:
             raise StructuralError(f"image domain {first.domain} differs from template domain {self.domain}")
 
-        # img^k for every exponent k of each variable, each made once and
-        # truncated, so every product below is too
+        # img^k for every exponent k of each variable, each made once,
+        # truncated, and sorted as a right factor, so every product below is
+        # truncated too
         powers: list = []
         for i, img in enumerate(images):
             power = img._powers(trunc)
-            powers.append({k: power(k) for k in {e[i] for e in self.terms}})
+            powers.append({k: power(k)._by_weight(trunc) for k in {e[i] for e in self.terms}})
 
         # the last factor of each term is multiplied straight into out, scaled
         # by the term's coefficient; out is reduced once, at the end
         out: dict[Exponent, Coeff] = {}
-        one = SparsePoly.one(first.variables, first.domain)
+        one = SparsePoly.one(first.variables, first.domain).terms.items()
         for e, c in self.terms.items():
             *head, last = [powers[i][k] for i, k in enumerate(e) if k] or [powers[0][0]]
-            term = head[0] if head else one
+            term = head[0][0] if head else one
             for factor in head[1:]:
-                term = term.mul(factor, trunc)
-            term._mul_into(out, last, trunc, c)
+                term = _reduce(_mul_into({}, term, factor), first.domain.p).items()
+            _mul_into(out, term, last, c)
         return SparsePoly._trusted(first.variables, first.domain, out)
 
     def map_domain(self, target: Domain) -> "SparsePoly":
@@ -445,29 +488,28 @@ class SparsePoly:
 
     # ---- serialization -------------------------------------------------
 
-    def to_text(self) -> str:
-        """Human-readable form, e.g. 'x^3*y + x*y^3', in canonical order.  Only
-        the sort and a head ' + c' or ' - c' per distinct coefficient run in
-        Python; C-level maps join the terms from the heads and the factors
-        '*v^k', each made on first use.  Then a coefficient 1 is dropped by
-        replacing ' + 1*' and ' - 1*': no monomial holds a space.  Terms are
-        joined in blocks of _BLOCK, so no list holds every term's string."""
+    def text_blocks(self) -> Iterator[str]:
+        """Human-readable form, e.g. 'x^3*y + x*y^3', in canonical order, as
+        consecutive pieces of _BLOCK terms each; `to_text` is their join.
+        Only the sort and a head ' + c' or ' - c' per distinct coefficient
+        run in Python; C-level maps join each block's terms from the heads
+        and the factors '*v^k', each made on first use.  Then a coefficient 1
+        is dropped by replacing ' + 1*' and ' - 1*': no monomial holds a space."""
         if not self.terms:
-            return "0"
+            yield "0"
+            return
         terms, order = self.terms, _grlex_sorted(self.terms)
         heads = {c: f" - {-c}" if c < 0 else f" + {c}" for c in set(terms.values())}
         factors = [_Factors({0: "", 1: f"*{v}"}) for v in self.variables]
-
-        def block(start: int) -> str:
+        for start in range(0, len(order), _BLOCK):
             chunk = order[start : start + _BLOCK]
             monos = map("".join, map(map, repeat(getitem), repeat(factors), chunk))
             text = "".join(map(add, map(heads.__getitem__, map(terms.__getitem__, chunk)), monos))
-            return text.replace(" + 1*", " + ").replace(" - 1*", " - ")
+            text = text.replace(" + 1*", " + ").replace(" - 1*", " - ")
+            yield text if start else text[3:] if text[1] == "+" else "-" + text[3:]
 
-        blocks = list(map(block, range(0, len(order), _BLOCK)))
-        text = blocks[0]
-        blocks[0] = text[3:] if text[1] == "+" else "-" + text[3:]
-        return "".join(blocks)
+    def to_text(self) -> str:
+        return "".join(self.text_blocks())
 
     def __str__(self) -> str:
         return self.to_text()
@@ -494,10 +536,11 @@ def elementary_symmetric_all(
 ) -> list[SparsePoly]:
     """All sigma_0 .. sigma_m of the given polynomials (sigma_0 = 1).
 
-    Computed through the generating function prod_j (1 + z*v_j): the list is
-    the coefficient vector in z, updated one factor at a time.  Each new
-    sigma_k is a copy of sigma_k's terms with sigma_(k-1) * v, truncated,
-    multiplied straight into it, and reduced once.
+    Computed through the generating function prod_j (1 + z*v_j): one term
+    map per sigma_k, updated one factor at a time.  For each v, sorted once,
+    k runs from the top down, so sigma_(k-1) * v, truncated, is multiplied
+    straight into sigma_k's own map before sigma_(k-1) itself changes; each
+    map is reduced once per factor.
     """
     values = list(values)
     if not values:
@@ -506,10 +549,10 @@ def elementary_symmetric_all(
     for v in values[1:]:
         first._check_compatible(v)
     variables, domain = first.variables, first.domain
-    sig = [SparsePoly.one(variables, domain)]
+    sig = [SparsePoly.one(variables, domain).terms]
     for v in values:
-        sig[1:] = [
-            SparsePoly._trusted(variables, domain, prev._mul_into(dict(cur), v, trunc))
-            for prev, cur in zip(sig, [*(t.terms for t in sig[1:]), {}])
-        ]
-    return sig
+        right = v._by_weight(trunc)
+        sig.append({})
+        for k in range(len(sig) - 1, 0, -1):
+            _reduce(_mul_into(sig[k], sig[k - 1].items(), right), domain.p)
+    return [SparsePoly._trusted(variables, domain, t, reduced=True) for t in sig]

@@ -220,7 +220,8 @@ def test_criterion_10_determinism():
 def test_cli_import_footprint():
     # Every fgl run pays for its imports.  Importing the CLI loads neither
     # dataclasses (with the inspect, ast and dis it pulls in) nor json, which
-    # only --json output needs; counted against a bare start of the same
+    # only --json output needs, nor fractions (with decimal), which only a Q
+    # coefficient needs; counted against a bare start of the same
     # interpreter, so that whatever site preloads on a host does not count.
     def loaded(statement):
         proc = subprocess.run(
@@ -231,4 +232,4 @@ def test_cli_import_footprint():
 
     new = loaded("import hondafgl.cli") - loaded("pass")
     assert "hondafgl.cli" in new
-    assert not new & {"dataclasses", "inspect", "json"}
+    assert not new & {"dataclasses", "inspect", "json", "fractions", "decimal"}

@@ -1,3 +1,4 @@
+import tracemalloc
 
 import pytest
 
@@ -106,3 +107,17 @@ def test_relation_set_size_guard(monkeypatch):
     with pytest.raises(ResourceLimitError) as exc:
         relation_set(FglParams(2, 2), 1)
     assert exc.value.projected == 6
+
+
+def test_relation_set_peak_memory_is_near_what_it_holds():
+    # sigma_k grows in its own term map, and sigma_i of the shifted roots is
+    # dropped once relation_i is made, so at (7,2) k 1 (91,603 terms) the
+    # peak is at most one sigma above what the relations hold afterwards
+    tracemalloc.start()
+    try:
+        rels = relation_set(FglParams(7, 2), 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(r.terms) for r in rels.relations) == 91_603
+    assert peak <= 1.15 * held

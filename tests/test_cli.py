@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from hondafgl.chern import relation_set
 from hondafgl.cli import main
 from hondafgl.engine import FglParams, build_tower
 from hondafgl.errors import too_long_to_print
@@ -365,3 +366,25 @@ def test_repeated_runs_identical(capsys):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+def test_text_output_is_written_block_by_block(monkeypatch):
+    # no line's whole text is built: the largest single write to stdout is
+    # one block of one relation, not the longest line (relation_7)
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(len(text))
+
+        def writelines(self, chunks):
+            for chunk in chunks:
+                self.write(chunk)
+
+    relations = relation_set(FglParams(7, 2), 1).relations
+    block = max(len(b) for r in relations for b in r.text_blocks())
+    line = max(len(f"relation_{i} = {r}") for i, r in enumerate(relations, start=1))
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["chern", "--p", "7", "--s", "2", "--k", "1"]) == 0
+    assert sum(writes) == 2_691_582
+    assert max(writes) <= block < line

@@ -190,7 +190,7 @@ def test_failed_check_report_matches_golden(name, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted([*GOLDEN, *FAILING]))
 def test_run_renders_only_the_form_it_prints(name, capsys, monkeypatch):
-    other = "to_text" if name.endswith(".json") else "to_json_dict"
+    other = "text_blocks" if name.endswith(".json") else "to_json_dict"
 
     def refuse(self):
         raise AssertionError(f"{other} called by a run that prints {name.rpartition('.')[2]}")

@@ -142,6 +142,19 @@ def test_variable_validation():
             poly(XY, F2, bad)
 
 
+def test_coefficient_refuses_what_the_constructor_refuses():
+    # an exponent of the wrong arity, a negative or a non-int entry is not an
+    # absent monomial: it is refused with the constructor's own message
+    f = poly(XY, INTEGERS, {(1, 0): 3})
+    assert (f.coefficient((1, 0)), f.coefficient([0, 2])) == (3, 0)
+    for bad in ((1,), (1, 0, 0), (-1, 0), (1.0, 0), (True, 0), ("a", 0)):
+        with pytest.raises(StructuralError) as made:
+            poly(XY, INTEGERS, {bad: 1})
+        with pytest.raises(StructuralError) as asked:
+            f.coefficient(bad)
+        assert str(asked.value) == str(made.value)
+
+
 # ---- add -------------------------------------------------------------------
 
 
