@@ -22,7 +22,7 @@ from typing import NamedTuple
 # p_series is imported only for perfbench/spans.py, which patches chern.p_series
 from .engine import FglParams, _require_recursion_height, build_tower, p_series
 from .errors import ParameterError, guard, shown
-from .ring import SparsePoly, TruncationPolicy, elementary_symmetric_all
+from .ring import SparsePoly, TruncationPolicy, _add_into, elementary_symmetric_all
 
 DEFAULT_MAX_TERMS = 10**7
 
@@ -72,8 +72,10 @@ def relation_set(params: FglParams, k: int) -> ChernRelationSet:
     roots = [SparsePoly.variable(variables, fp, f"x{j}") for j in range(1, m + 1)]
     sigma = elementary_symmetric_all([top.substitute({"x": r, "y": u}, trunc) for r in roots], trunc)
     sigma_roots = elementary_symmetric_all(roots, trunc)
-    relations = []
-    for i in range(1, m + 1):  # sigma_i(shifted) goes once relation_i is made
-        relations.append(sigma[i] - sigma_roots[i])
-        sigma[i] = None
-    return ChernRelationSet(params, k, m, n, u_cap, variables, tuple(relations))
+    # no one else holds the sigma_i of the shifted roots, so relation_i is
+    # made in sigma_i's own term map, with no copy of it
+    relations = tuple(
+        SparsePoly._trusted(variables, fp, _add_into(s.terms, (-r).terms, fp.p), reduced=True)
+        for s, r in zip(sigma[1:], sigma_roots[1:])
+    )
+    return ChernRelationSet(params, k, m, n, u_cap, variables, relations)

@@ -211,6 +211,21 @@ def _mul_into(out: dict, left: Iterable[tuple[Exponent, Coeff]], right: tuple, s
     return out
 
 
+def _add_into(out: dict, terms: Mapping[Exponent, Coeff], p: int | None) -> dict:
+    """Add the term map `terms` into `out`, in place: each sum reduced mod p
+    over F_p (p None otherwise), a zero dropped.  out's other terms are not
+    touched."""
+    for e, c in terms.items():
+        c += out.get(e, 0)
+        if p:
+            c %= p
+        if c:
+            out[e] = c
+        else:
+            out.pop(e, None)
+    return out
+
+
 def _reduce(terms: dict, p: int | None) -> dict:
     """The term map `terms`, in place: reduced mod p over F_p (p None
     otherwise), zeros dropped."""
@@ -325,15 +340,7 @@ class SparsePoly:
         """A C-level copy of self's terms; then a Python loop only over other's
         terms adds each, reduces it mod p and drops a zero, in place."""
         self._check_compatible(other)
-        out, p = dict(self.terms), self.domain.p
-        for e, c in other.terms.items():
-            c += out.get(e, 0)
-            if p:
-                c %= p
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
+        out = _add_into(dict(self.terms), other.terms, self.domain.p)
         return SparsePoly._trusted(self.variables, self.domain, out, reduced=True)
 
     def __neg__(self) -> "SparsePoly":

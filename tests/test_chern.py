@@ -110,9 +110,9 @@ def test_relation_set_size_guard(monkeypatch):
 
 
 def test_relation_set_peak_memory_is_near_what_it_holds():
-    # sigma_k grows in its own term map, and sigma_i of the shifted roots is
-    # dropped once relation_i is made, so at (7,2) k 1 (91,603 terms) the
-    # peak is at most one sigma above what the relations hold afterwards
+    # sigma_k grows in its own term map, and relation_i is made in the map
+    # of sigma_i of the shifted roots, so at (7,2) k 1 (91,603 terms) the
+    # peak holds no copy of a sigma beyond what the relations hold afterwards
     tracemalloc.start()
     try:
         rels = relation_set(FglParams(7, 2), 1)
@@ -120,4 +120,4 @@ def test_relation_set_peak_memory_is_near_what_it_holds():
     finally:
         tracemalloc.stop()
     assert sum(len(r.terms) for r in rels.relations) == 91_603
-    assert peak <= 1.15 * held
+    assert peak <= 1.05 * held
