@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 # p_series is imported only for perfbench/spans.py, which patches chern.p_series
 from .engine import FglParams, _require_recursion_height, build_tower, p_series
-from .errors import ParameterError, guard, shown
+from .errors import guard, require_int
 from .ring import SparsePoly, TruncationPolicy, _add_into, elementary_symmetric_all
 
 DEFAULT_MAX_TERMS = 10**7
@@ -35,8 +35,7 @@ def required_level(params: FglParams, k: int) -> int:
     F(x_j, u).  Equals ceil(ks/(s-1)).
     """
     _require_recursion_height(params)
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {shown(k)}")
+    require_int("k", k, 1)
     n = -(-k * params.s // (params.s - 1))
     assert (params.s - 1) * n >= k * params.s  # q^n >= p^(ks), without the powers
     return n

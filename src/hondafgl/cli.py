@@ -1,11 +1,12 @@
 """Command-line entry point: one `fgl` binary with one subcommand per task.
 
 Exit codes: 0 success, 1 a verification subcommand found a mismatch or
-violation (the report still goes to standard output), 2 invalid parameters,
-3 the resource guard refused the computation.  Output is deterministic for a
-given invocation.  The guard lives in the library and reads FGL_MAX_TERMS
-from the environment at each check; a tower deeper than the y-cap allows is
-refused before any level is built.
+violation (the report still goes to standard output), 2 invalid parameters
+or an output that cannot be written, 3 the resource guard refused the
+computation.  Output is deterministic for a given invocation.  The guard
+lives in the library and reads FGL_MAX_TERMS from the environment at each
+check; a tower deeper than the y-cap allows is refused before any level is
+built.
 Each subcommand returns (payload, text, status): `payload` is the --json
 object, its polynomials still SparsePoly values, and `text` a generator
 function of the text lines, each a string, a SparsePoly, or a tuple of
@@ -21,7 +22,7 @@ import sys
 
 from . import chern as chern_mod
 from . import engine, oracle, witt
-from .errors import FglError, ParameterError, ResourceLimitError, shown, too_long_to_print
+from .errors import FglError, ParameterError, ResourceLimitError, require_int, shown, too_long_to_print
 from .ring import SparsePoly
 
 
@@ -146,7 +147,7 @@ def _cmd_pseries(args):
     params = engine.FglParams(args.p, args.s)
     if too_long_to_print(params.p, args.k):
         raise ParameterError(f"k = {shown(args.k)} is too large: p^k has more digits than can be printed")
-    engine._check_k(args.k)  # every parameter is checked before the tower is built
+    require_int("k", args.k, 0)  # every parameter is checked before the tower is built
     series = engine.p_series(engine.build_tower(params, args.level), args.k)
     multiplier = params.p**args.k
     payload = {"p": params.p, "s": params.s, "q": params.q, "level": args.level, "k": args.k}
@@ -257,14 +258,22 @@ def main(argv: list[str] | None = None) -> int:
         chunks = [json.dumps(payload, separators=(",", ":"), default=SparsePoly.to_json_dict), "\n"]
     else:
         chunks = _text_chunks(text())
-    if not args.out:
-        sys.stdout.writelines(chunks)
-        return status
     try:
-        with open(args.out, "w") as fh:
-            fh.writelines(chunks)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
     except OSError as exc:
-        print(f"fgl: invalid parameters: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        if args.out:
+            print(f"fgl: invalid parameters: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
+        try:  # a closed stdout is not flushed again at exit, into the same error
+            sys.stdout.close()
+        except OSError:
+            pass
+        print(f"fgl: error: cannot write standard output: {exc.strerror}", file=sys.stderr)
         return 2
     return status
 

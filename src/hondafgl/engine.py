@@ -40,11 +40,13 @@ from .errors import (
     InternalConsistencyError,
     ParameterError,
     StructuralError,
+    _is_int,
     guard,
+    require_int,
     shown,
     too_long_to_print,
 )
-from .ring import SparsePoly, TruncationPolicy, _is_int, _is_prime, prime_field
+from .ring import SparsePoly, TruncationPolicy, _is_prime, prime_field
 from .witt import VARS, witt_family, witt_mod_p
 
 DEFAULT_MAX_Y_CAP = 10**4
@@ -129,8 +131,7 @@ def build_tower(params: FglParams, level: int) -> list[TruncatedFgl]:
     level past the limit, however deep the tower asked for; level 1 extends
     nothing, so its projection is 0 and only the limit is parsed.
     """
-    if level < 1:
-        raise ParameterError(f"level must be >= 1, got {shown(level)}")
+    require_int("level", level, 1)
     tower = [initial_fgl(params)]
     for m in range(1, level + 1):
         guard((params.p, (params.s - 1) * m) if m > 1 else 0, DEFAULT_MAX_Y_CAP, f"the y-cap of level {m}")
@@ -215,7 +216,9 @@ def law_p_series(law: SparsePoly, k: int, bound: int) -> SparsePoly:
     exactly on the monomials x^i y^j with i + j < bound: every series
     substituted has no constant term.
     """
-    _check_k(k)
+    require_int("k", k, 0)
+    if law.domain.p is None:
+        raise StructuralError(f"the p-series needs a law over F_p, not over {law.domain}")
     trunc = TruncationPolicy(bound, "x")
     x = SparsePoly.variable(("x",), law.domain, "x")
     series = x
@@ -265,8 +268,3 @@ def _validate_tower(tower: Sequence[TruncatedFgl]) -> tuple[FglParams, int]:
         if f.poly.variables != VARS:
             raise StructuralError(f"tower polynomials must live in {VARS}")
     return params, len(tower)
-
-
-def _check_k(k: int):
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {shown(k)}")

@@ -24,9 +24,9 @@ class ParameterError(FglError):
 
 
 class IntegralityError(FglError):
-    """A rational coefficient has a denominator divisible by p, so it has no
-    image in the prime field.  For the oracle pipeline this signals a genuine
-    p-integrality failure and is treated as fatal."""
+    """A coefficient G_ij / p^(i+j-1) of the oracle's law is not an integer,
+    so F is not p-integral: that would falsify the oracle's construction, and
+    is treated as fatal."""
 
 
 class InternalConsistencyError(FglError):
@@ -73,6 +73,18 @@ def guard(projected: int | tuple[int, int], default: int, what: str) -> None:
     if projected is None or (projected and projected > bound):
         message = f"{what} is {shown(projected, power)}, beyond the limit {shown(bound)}"
         raise ResourceLimitError(message, projected=projected)
+
+
+def _is_int(n) -> bool:
+    """An int that is not a bool: True would pass as 1 and print as True."""
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
+def require_int(name: str, n, low: int) -> None:
+    """Refuse n, as a ParameterError, unless it is an int (not a bool) >= low."""
+    if not _is_int(n) or n < low:
+        kind = "" if _is_int(n) else "an int "
+        raise ParameterError(f"{name} must be {kind}>= {low}, got {shown(n)}")
 
 
 def shown(n, power: tuple[int, int] | None = None) -> str:

@@ -5,22 +5,23 @@ law has logarithm l(x) = sum_{i>=0} x^(p^(s*i)) / p^i over Q, and
 
     F(x, y) = exp(l(x) + l(y)),    exp = compositional inverse of l,
 
-computed here modulo a *total* degree bound D with exact rational
-coefficients, by integer arithmetic: under x = p*t the logarithm becomes
-L(t) = l(pt)/p = sum_i p^(q^i - i - 1) t^(q^i) with q = p^s, integral and
-monic, so its inverse E is in Z[[t]] and F(x, y) = p*G(x/p, y/p) with
-G = E(L(u) + L(v)) in Z[[u, v]]: [x^i y^j] F = G_ij / p^(i+j-1), and the two
-truncations at total degree D agree.  G is composed by the binomial theorem,
+computed here modulo a *total* degree bound D, in Z to the last step: under
+x = p*t the logarithm becomes L(t) = l(pt)/p = sum_i p^(q^i - i - 1) t^(q^i)
+with q = p^s, integral and monic, so its inverse E is in Z[[t]] and
+F(x, y) = p*G(x/p, y/p) with G = E(L(u) + L(v)) in Z[[u, v]]:
+[x^i y^j] F = G_ij / p^(i+j-1), and the two truncations at total degree D
+agree.  G is composed by the binomial theorem,
 with univariate powers only: (L(u) + L(v))^k = sum_j C(k, j) L(u)^j L(v)^(k-j),
 so with e_k = [t^k] E,
 
     G(u, v) = sum_j L(u)^j R_j(v),    R_j = sum_l e_(j+l) C(j+l, j) L^l.
 
 Cutting every series below t^D and G to a + b < D is exact: L = t + O(t^2),
-so L^j starts at t^j and nothing cut reaches a + b < D.  p-integrality of F
-(no denominator divisible by p) is checked before reducing mod p, so the
-mod-p image is exact.  Total-degree truncation (rather than y-only) is what
-makes a three-variable associativity check symmetric and finite.
+so L^j starts at t^j and nothing cut reaches a + b < D.  F is p-integral
+(Hazewinkel's functional-equation lemma), so each division by p^(i+j-1) is
+exact in Z; each is checked, and F mod p reduces those integers.
+Total-degree truncation (rather than y-only) is what makes a three-variable
+associativity check symmetric and finite.
 
 Everything the recursion engine produces is validated against this oracle on
 the overlap region {x^i y^j : i + j < D, j < q^n}.
@@ -32,7 +33,7 @@ from math import comb
 from typing import NamedTuple
 
 from .engine import DEFAULT_MAX_Y_CAP, FglParams, TruncatedFgl, law_p_series
-from .errors import InternalConsistencyError, ParameterError, StructuralError, guard, shown
+from .errors import IntegralityError, InternalConsistencyError, StructuralError, guard, require_int
 from .ring import INTEGERS, RATIONALS, SparsePoly, TruncationPolicy, _fraction, _grlex_sorted
 from .witt import VARS
 
@@ -51,35 +52,34 @@ def honda_log(params: FglParams, degree: int) -> SparsePoly:
 
 
 def revert_series(f: SparsePoly, degree: int) -> SparsePoly:
-    """Compositional inverse g of f modulo x^degree, over Z or Q, with no products.
+    """Compositional inverse g of f modulo x^degree, over Z, with no products.
 
     Requires f = x + sum_k c_k x^k.  Write g = x*u; each w = u^k obeys Miller's
     power recurrence n*w_n = sum_{j=1..n} ((k+1)j - n) u_j w_(n-j) (Knuth,
     TAOCP vol. 2, 4.7), and f(g) = x gives g_d = -sum_k c_k [x^(d-k)] u^k, which
-    needs u only below x^(d-1): each degree is solved online.  Over Z the
-    division by n must be exact; a remainder is an InternalConsistencyError.
+    needs u only below x^(d-1): each degree is solved online.  The division
+    by n must be exact; a remainder is an InternalConsistencyError.
     """
     _check_degree(degree)
-    if f.variables != ("x",) or f.domain not in (INTEGERS, RATIONALS):
-        raise StructuralError("reversion expects a univariate series over Z or Q in x")
+    if f.variables != ("x",) or f.domain != INTEGERS:
+        raise StructuralError("reversion expects a univariate series over Z in x")
     if f.coefficient((0,)) != 0 or f.coefficient((1,)) != 1:
         raise StructuralError(f"reversion needs f = x + O(x^2), got {f}")
-    zero = f.domain.normalize(0)
     c = {k: ck for (k,), ck in f.terms.items() if 1 < k < degree}
     u, w = [1], {k: [1] for k in c}  # u[n] = [x^(n+1)] g; w[k][n] = [x^n] u^k
     for d in range(2, degree):
         for k in (k for k in c if k < d):
             n = d - k
-            total = sum((((k + 1) * j - n) * u[j] * w[k][n - j] for j in range(1, n + 1)), zero)
-            w[k].append(total / n if f.domain == RATIONALS else total // n)
+            total = sum(((k + 1) * j - n) * u[j] * w[k][n - j] for j in range(1, n + 1))
+            w[k].append(total // n)
             if w[k][n] * n != total:
                 raise InternalConsistencyError(f"[x^{n}] u^{k} = {total}/{n} is not integral")
-        u.append(-sum((ck * w[k][d - k] for k, ck in c.items() if k <= d), zero))
-    return SparsePoly(("x",), f.domain, {(n + 1,): un for n, un in enumerate(u)})
+        u.append(-sum(ck * w[k][d - k] for k, ck in c.items() if k <= d))
+    return SparsePoly(("x",), INTEGERS, {(n + 1,): un for n, un in enumerate(u)})
 
 
 class OracleFgl(NamedTuple):
-    """F over Q modulo total degree `degree`, plus its mod-p image."""
+    """F modulo total degree `degree`, over Q (its coefficients are integers) and mod p."""
 
     params: FglParams
     degree: int
@@ -88,19 +88,19 @@ class OracleFgl(NamedTuple):
 
 
 def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
-    """exp(l(x) + l(y)) = p*G(x/p, y/p) modulo total degree, with the p-integrality check.
+    """exp(l(x) + l(y)) = p*G(x/p, y/p) modulo total degree, certified p-integral.
 
     G_ab = sum_j [t^a] L^j * [t^b] R_j over a + b < D, from the powers L^j
     (j < D) alone.  The cut is exact: L^j starts at t^j, so the k-th term of
     E(L(u) + L(v)) and the t^c term of any L^j or R_j reach only total
     degree >= k and >= c.
 
-    An IntegralityError out of the mod-p reduction would falsify the whole
-    construction and is deliberately not caught here.  The resource guard
+    F is p-integral, so [x^a y^b] F = G_ab / p^(a+b-1) is an exact division in
+    Z.  A remainder, an IntegralityError naming the monomial, would falsify
+    the whole construction; nothing here catches it.  The resource guard
     refuses a degree D beyond DEFAULT_MAX_Y_CAP: D bounds the same bivariate
     exponents the y-cap does.
     """
-    Fraction = _fraction()
     _check_degree(degree)
     trunc = TruncationPolicy(degree)
     p = params.p
@@ -121,9 +121,12 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
             for b, rb in r.items():
                 if a + b < degree:
                     g[a, b] = g.get((a, b), 0) + ca * rb
-    poly_rational = SparsePoly(VARS, RATIONALS, {e: Fraction(c, p ** (sum(e) - 1)) for e, c in g.items()})
-    poly_mod_p = poly_rational.map_domain(params.fp)
-    return OracleFgl(params, degree, poly_rational, poly_mod_p)
+    for e, c in g.items():
+        g[e], r = divmod(c, p ** (sum(e) - 1))
+        if r:
+            raise IntegralityError(f"coefficient {c}/{p ** (sum(e) - 1)} of monomial {e} of F is not an integer")
+    poly_rational = SparsePoly(VARS, RATIONALS, g)  # a copy: g is then reduced mod p in place
+    return OracleFgl(params, degree, poly_rational, SparsePoly._trusted(VARS, params.fp, g))
 
 
 def oracle_p_series(oracle: OracleFgl, k: int = 1) -> SparsePoly:
@@ -214,6 +217,5 @@ def check_associativity(oracle: OracleFgl) -> AssociativityReport:
 
 
 def _check_degree(degree: int):
-    if degree < 2:
-        raise ParameterError(f"degree bound must be >= 2, got {shown(degree)}")
+    require_int("degree bound", degree, 2)
     guard(degree, DEFAULT_MAX_Y_CAP, "the total degree D of the oracle")

@@ -50,7 +50,7 @@ from itertools import repeat
 from operator import add, getitem, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .errors import IntegralityError, ParameterError, StructuralError, shown
+from .errors import ParameterError, StructuralError, _is_int, shown
 
 Exponent = tuple[int, ...]
 Coeff = Union[int, "Fraction"]  # fractions.Fraction
@@ -62,11 +62,6 @@ _RAT = "rat"
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def _is_int(n) -> bool:
-    """An int that is not a bool: True would pass as 1 and print as True."""
-    return isinstance(n, int) and not isinstance(n, bool)
 
 
 @cache
@@ -469,29 +464,13 @@ class SparsePoly:
         return SparsePoly._trusted(first.variables, first.domain, out)
 
     def map_domain(self, target: Domain) -> "SparsePoly":
-        """Coefficientwise image in another domain.
-
-        Supported: Z -> F_p, Q -> F_p (every denominator must be coprime to
-        p), Z -> Q, and the identity.  A denominator divisible by p raises
-        IntegralityError.
-        """
+        """Coefficientwise image in another domain: Z -> F_p, or the identity.
+        Any other pair is a StructuralError."""
         if target == self.domain:
             return self
-        src, dst = self.domain.kind, target.kind
-        out: dict[Exponent, Coeff] = {}
-        if src == _INT and dst in (_FP, _RAT):
-            out = {e: target.normalize(c) for e, c in self.terms.items()}
-        elif src == _RAT and dst == _FP:
-            p = target.p
-            for e, c in self.terms.items():
-                if c.denominator % p == 0:
-                    raise IntegralityError(
-                        f"coefficient {c} of monomial {e} has denominator divisible by {p}"
-                    )
-                out[e] = c.numerator * pow(c.denominator, -1, p)
-        else:
+        if self.domain.kind != _INT or target.kind != _FP:
             raise StructuralError(f"unsupported domain conversion {self.domain} -> {target}")
-        return SparsePoly._trusted(self.variables, target, out)
+        return SparsePoly._trusted(self.variables, target, dict(self.terms))
 
     # ---- serialization -------------------------------------------------
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InternalConsistencyError, ParameterError, guard, shown
+from .errors import InternalConsistencyError, ParameterError, _is_int, guard, require_int, shown
 from .ring import INTEGERS, SparsePoly, _is_prime, prime_field
 
 VARS = ("x", "y")
@@ -83,10 +83,9 @@ def witt_family(p: int, jmax: int) -> WittFamily:
     division certified exact.  The resource guard refuses p^jmax beyond
     DEFAULT_MAX_DEGREE, naming it as a power when it has more than 30 digits.
     """
-    if not _is_prime(p):
+    if not _is_int(p) or not _is_prime(p):
         raise ParameterError(f"p must be prime, got {shown(p)}")
-    if jmax < 0:
-        raise ParameterError(f"jmax must be >= 0, got {shown(jmax)}")
+    require_int("jmax", jmax, 0)
     guard((p, jmax), DEFAULT_MAX_DEGREE, f"the degree p^jmax of w_{shown(jmax)}")
     polys = [SparsePoly(VARS, INTEGERS, {(1, 0): 1, (0, 1): 1})]
     for n in range(1, jmax + 1):

@@ -1,10 +1,14 @@
+import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+import hondafgl
 from hondafgl.chern import relation_set
 from hondafgl.cli import main
 from hondafgl.engine import FglParams, build_tower
@@ -350,6 +354,31 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_closed_stdout_pipe_exits_two():
+    # the reader is gone before the child writes: one stderr line, exit 2,
+    # and nothing more at interpreter shutdown
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hondafgl.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hondafgl", "compute", "--p", "2", "--s", "2", "--level", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "fgl: error: cannot write standard output: Broken pipe\n"
+
+
+def test_stdout_write_error_returns_two(monkeypatch, capsys):
+    class Broken(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Broken())
+    assert main(["compute", "--p", "2", "--s", "2", "--level", "2"]) == 2
+    assert capsys.readouterr().err == "fgl: error: cannot write standard output: Broken pipe\n"
+
+
 def test_unknown_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--p", "2"])
@@ -380,6 +409,9 @@ def test_text_output_is_written_block_by_block(monkeypatch):
         def writelines(self, chunks):
             for chunk in chunks:
                 self.write(chunk)
+
+        def flush(self):
+            pass
 
     relations = relation_set(FglParams(7, 2), 1).relations
     block = max(len(b) for r in relations for b in r.text_blocks())

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from hondafgl.chern import relation_set
+from hondafgl.chern import relation_set, required_level
 from hondafgl.engine import (
     FglParams,
     TruncatedFgl,
@@ -26,7 +26,7 @@ from hondafgl.errors import (
     shown,
 )
 from hondafgl.oracle import check_associativity, compare, oracle_fgl, oracle_p_series
-from hondafgl.ring import SparsePoly, TruncationPolicy, prime_field
+from hondafgl.ring import INTEGERS, RATIONALS, SparsePoly, TruncationPolicy, prime_field
 from hondafgl.witt import witt_family, witt_mod_p
 
 XY = ("x", "y")
@@ -91,6 +91,24 @@ def test_q_too_long_to_print_is_refused_at_once():
     with pytest.raises(ResourceLimitError, match=r"^the y-cap of level 1 is 2\^a number of 4000 digits, beyond the limit "):
         FglParams(2, 10**4000).q
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=repr)
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("level", lambda v: build_tower(FglParams(2, 2), v)),
+        ("jmax", lambda v: witt_family(2, v)),
+        ("k", lambda v: required_level(FglParams(2, 2), v)),
+        ("k", lambda v: law_p_series(SparsePoly(("x", "y"), prime_field(2), {(1, 0): 1, (0, 1): 1}), v, 5)),
+        ("degree bound", lambda v: oracle_fgl(FglParams(2, 2), v)),
+    ],
+    ids=["build_tower", "witt_family", "required_level", "law_p_series", "oracle_fgl"],
+)
+def test_integer_parameters_refuse_a_bool_or_non_int(name, call, value):
+    # 2.5 used to fail deep inside with a TypeError, True to pass as 1
+    with pytest.raises(ParameterError, match=rf"^{name} must be an int >= \d, got {re.escape(repr(value))}$"):
+        call(value)
 
 
 def test_height_one_params_cannot_enter_recursion():
@@ -414,6 +432,14 @@ def test_p_series_rejects_negative_k():
     tower = build_tower(FglParams(2, 2), 2)
     with pytest.raises(ParameterError):
         p_series(tower, -1)
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, RATIONALS], ids=str)
+def test_law_p_series_needs_a_law_over_fp(domain):
+    # p - 1 substitutions need p: over Z or Q it used to fail on None - 1
+    law = SparsePoly(("x", "y"), domain, {(1, 0): 1, (0, 1): 1})
+    with pytest.raises(StructuralError, match=f"^the p-series needs a law over F_p, not over {domain}$"):
+        law_p_series(law, 1, 5)
 
 
 # ---- regrading ------------------------------------------------------------------------

@@ -3,8 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from hondafgl import oracle
+from hondafgl.cli import main
 from hondafgl.engine import FglParams, TruncatedFgl, build_tower
-from hondafgl.errors import InternalConsistencyError, ParameterError, ResourceLimitError, StructuralError
+from hondafgl.errors import (
+    IntegralityError,
+    InternalConsistencyError,
+    ParameterError,
+    ResourceLimitError,
+    StructuralError,
+)
 from hondafgl.oracle import (
     check_associativity,
     compare,
@@ -22,6 +30,10 @@ XY = ("x", "y")
 
 def qpoly(variables, terms):
     return SparsePoly(variables, RATIONALS, terms)
+
+
+def zpoly(variables, terms):
+    return SparsePoly(variables, INTEGERS, terms)
 
 
 # ---- logarithm ---------------------------------------------------------------
@@ -46,7 +58,7 @@ def test_honda_log_degree_validation():
 
 def test_every_oracle_entry_point_checks_the_degree_alike():
     # one check for D: below 2 is a bad parameter, past the limit a refusal
-    x = qpoly(X, {(1,): 1})
+    x = zpoly(X, {(1,): 1})
     for call in (lambda d: honda_log(FglParams(2, 2), d), lambda d: revert_series(x, d), lambda d: oracle_fgl(FglParams(2, 2), d)):
         with pytest.raises(ParameterError, match=r"^degree bound must be >= 2, got 1$"):
             call(1)
@@ -58,54 +70,31 @@ def test_every_oracle_entry_point_checks_the_degree_alike():
 
 
 def test_revert_identity():
-    x = qpoly(X, {(1,): 1})
+    x = zpoly(X, {(1,): 1})
     assert revert_series(x, 10) == x
 
 
 def test_revert_example():
-    f = qpoly(X, {(1,): 1, (4,): Fraction(1, 2)})
-    g = revert_series(f, 8)
-    # below x^7 the inverse is x - x^4/2; the first composition correction
-    # enters at x^7 with coefficient 1 (solve g + g^4/2 = x degree by degree)
-    assert {e: c for e, c in g.terms.items() if e[0] < 7} == {
-        (1,): 1,
-        (4,): Fraction(-1, 2),
-    }
-    assert g.coefficient((7,)) == 1
+    # solve g + g^4 = x degree by degree: the corrections enter at x^7 and x^10
+    f = zpoly(X, {(1,): 1, (4,): 1})
+    assert revert_series(f, 11) == zpoly(X, {(1,): 1, (4,): -1, (7,): 4, (10,): -22})
 
 
 def test_revert_defining_property_random():
-    rng = random.Random(43)
-    d = 12
-    for _ in range(10):
-        terms = {(1,): Fraction(1)}
-        for k in range(2, d):
-            if rng.random() < 0.4:
-                terms[(k,)] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
-        f = qpoly(X, terms)
-        g = revert_series(f, d)
-        trunc = TruncationPolicy(d, "x")
-        x = qpoly(X, {(1,): 1})
-        assert f.substitute({"x": g}, trunc) == x
-        assert g.substitute({"x": f}, trunc) == x
-
-
-def test_revert_over_z_equals_revert_over_q():
     # a monic integer series has an integral inverse; Miller's recurrence
-    # finds the same one over Z, with exact divisions, as over Q
+    # finds it over Z, with exact divisions
     rng = random.Random(47)
     d = 24
-    x = SparsePoly(X, INTEGERS, {(1,): 1})
+    x = zpoly(X, {(1,): 1})
     trunc = TruncationPolicy(d, "x")
     for _ in range(8):
         terms = {(1,): 1}
         for k in range(2, d + 3):
             if rng.random() < 0.5:
                 terms[(k,)] = rng.randint(-9, 9)
-        f = SparsePoly(X, INTEGERS, terms)
+        f = zpoly(X, terms)
         g = revert_series(f, d)
         assert g.domain == INTEGERS
-        assert g.map_domain(RATIONALS) == revert_series(f.map_domain(RATIONALS), d)
         assert f.substitute({"x": g}, trunc) == x
         assert g.substitute({"x": f}, trunc) == x
 
@@ -119,14 +108,14 @@ def test_revert_over_z_refuses_an_inexact_division():
 
 
 def test_revert_rejects_bad_leading_terms():
-    with pytest.raises(StructuralError):
-        revert_series(qpoly(X, {(0,): 1, (1,): 1}), 5)
-    with pytest.raises(StructuralError):
-        revert_series(qpoly(X, {(1,): 2}), 5)
-    with pytest.raises(StructuralError):
-        revert_series(qpoly(XY, {(1, 0): 1}), 5)
-    with pytest.raises(StructuralError):
-        revert_series(SparsePoly(X, prime_field(2), {(1,): 1}), 5)
+    with pytest.raises(StructuralError, match="^reversion needs f = x"):
+        revert_series(zpoly(X, {(0,): 1, (1,): 1}), 5)
+    with pytest.raises(StructuralError, match="^reversion needs f = x"):
+        revert_series(zpoly(X, {(1,): 2}), 5)
+    # Z alone: the oracle reverts only over Z
+    for f in (zpoly(XY, {(1, 0): 1}), qpoly(X, {(1,): 1}), SparsePoly(X, prime_field(2), {(1,): 1})):
+        with pytest.raises(StructuralError, match="^reversion expects a univariate series over Z in x$"):
+            revert_series(f, 5)
 
 
 # ---- the oracle law -----------------------------------------------------------------
@@ -142,6 +131,18 @@ def test_oracle_rational_p2_s2_degree5():
     assert orc.poly_mod_p == SparsePoly(
         XY, prime_field(2), {(1, 0): 1, (0, 1): 1, (2, 2): 1}
     )
+
+
+def test_oracle_certifies_each_exact_division(monkeypatch, capsys):
+    # E + t^2 adds (L(u) + L(v))^2 to G, so G_02 = 1: [y^2] F = 1/2
+    revert = oracle.revert_series
+    monkeypatch.setattr(oracle, "revert_series", lambda f, d: revert(f, d) + zpoly(X, {(2,): 1}))
+    with pytest.raises(IntegralityError, match=r"^coefficient 1/2 of monomial \(0, 2\) of F is not an integer$"):
+        oracle_fgl(FglParams(2, 2), 9)
+    assert main(["oracle", "--p", "2", "--s", "2", "--degree", "9"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("fgl: error: coefficient 1/2 of monomial (0, 2)")
 
 
 @pytest.mark.parametrize("p,s,degree", [(2, 2, 9), (3, 2, 10), (2, 3, 9), (5, 2, 7)])

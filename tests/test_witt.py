@@ -135,6 +135,9 @@ def test_parameter_validation():
         witt_family(4, 1)
     with pytest.raises(ParameterError):
         witt_family(2, -1)
+    # 2.0 used to pass the primality test and fail later, on its exponents
+    with pytest.raises(ParameterError, match="^p must be prime, got 2.0$"):
+        witt_family(2.0, 1)
 
 
 def test_degree_guard(monkeypatch):
