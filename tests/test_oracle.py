@@ -81,8 +81,49 @@ def test_revert_example():
 
 
 def test_revert_defining_property_random():
+    rng = random.Random(43)
+    d = 12
+    x = zpoly(X, {(1,): 1})
+    trunc = TruncationPolicy(d, "x")
+    for _ in range(10):
+        terms = {(1,): 1}
+        for k in range(2, d):
+            if rng.random() < 0.4:
+                terms[(k,)] = rng.randint(-5, 5)
+        f = zpoly(X, terms)
+        g = revert_series(f, d)
+        assert f.substitute({"x": g}, trunc) == x
+        assert g.substitute({"x": f}, trunc) == x
+
+
+def lagrange_inverse_over_q(coefficients, d):
+    """The inverse of x + c_2 x^2 + ... below x^d by Lagrange inversion over Q:
+    [x^n] g = (1/n) [x^(n-1)] (x/f)^n, in dense lists of Fractions."""
+    u = [Fraction(coefficients.get(k + 1, 0)) for k in range(d)]  # f = x * u
+
+    def mul(a, b):
+        out = [Fraction(0)] * d
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(d - i):
+                    out[i + j] += ai * b[j]
+        return out
+
+    v = [Fraction(0)] * d  # v = 1/u
+    v[0] = Fraction(1)
+    for n in range(1, d):
+        v[n] = -sum(u[k] * v[n - k] for k in range(1, n + 1))
+    g, power = {}, [Fraction(1)] + [Fraction(0)] * (d - 1)
+    for n in range(1, d):
+        power = mul(power, v)
+        if power[n - 1]:
+            g[(n,)] = power[n - 1] / n
+    return g
+
+
+def test_revert_over_z_equals_revert_over_q():
     # a monic integer series has an integral inverse; Miller's recurrence
-    # finds it over Z, with exact divisions
+    # finds over Z, with exact divisions, the one Lagrange inversion finds over Q
     rng = random.Random(47)
     d = 24
     x = zpoly(X, {(1,): 1})
@@ -95,6 +136,7 @@ def test_revert_defining_property_random():
         f = zpoly(X, terms)
         g = revert_series(f, d)
         assert g.domain == INTEGERS
+        assert g.terms == lagrange_inverse_over_q({e[0]: c for e, c in f.terms.items()}, d)
         assert f.substitute({"x": g}, trunc) == x
         assert g.substitute({"x": f}, trunc) == x
 
