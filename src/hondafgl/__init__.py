@@ -37,7 +37,6 @@ from .oracle import (
     check_associativity,
     compare,
     default_compare_degree,
-    honda_log,
     oracle_fgl,
     oracle_p_series,
     revert_series,

@@ -259,21 +259,22 @@ def main(argv: list[str] | None = None) -> int:
     else:
         chunks = _text_chunks(text())
     try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:  # a path that cannot be opened is a bad parameter
+        print(f"fgl: invalid parameters: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    try:
+        out.writelines(chunks)
+        out.flush()
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.writelines(chunks)
-        else:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-    except OSError as exc:
-        if args.out:
-            print(f"fgl: invalid parameters: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
-        try:  # a closed stdout is not flushed again at exit, into the same error
-            sys.stdout.close()
+            out.close()
+    except OSError as exc:  # a failed write, flush or close, a full disk say, is an error
+        try:  # a closed stream is not flushed again, at exit or when collected, into the same error
+            out.close()
         except OSError:
             pass
-        print(f"fgl: error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        where = f"--out {args.out}" if args.out else "standard output"
+        print(f"fgl: error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 2
     return status
 

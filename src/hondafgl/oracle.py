@@ -1,14 +1,14 @@
-"""Ground-truth Honda formal group law over the exact rationals.
+"""Ground-truth Honda formal group law, computed in Z.
 
 Independent of the Witt-recursion engine: the height-s Honda formal group
 law has logarithm l(x) = sum_{i>=0} x^(p^(s*i)) / p^i over Q, and
 
     F(x, y) = exp(l(x) + l(y)),    exp = compositional inverse of l,
 
-computed here modulo a *total* degree bound D, in Z to the last step: under
+computed here modulo a *total* degree bound D, in Z throughout: under
 x = p*t the logarithm becomes L(t) = l(pt)/p = sum_i p^(q^i - i - 1) t^(q^i)
-with q = p^s, integral and monic, so its inverse E is in Z[[t]] and
-F(x, y) = p*G(x/p, y/p) with G = E(L(u) + L(v)) in Z[[u, v]]:
+with q = p^s, integral and monic.  The oracle starts from L; its inverse E
+is in Z[[t]] and F(x, y) = p*G(x/p, y/p) with G = E(L(u) + L(v)) in Z[[u, v]]:
 [x^i y^j] F = G_ij / p^(i+j-1), and the two truncations at total degree D
 agree.  G is composed by the binomial theorem,
 with univariate powers only: (L(u) + L(v))^k = sum_j C(k, j) L(u)^j L(v)^(k-j),
@@ -34,21 +34,8 @@ from typing import NamedTuple
 
 from .engine import DEFAULT_MAX_Y_CAP, FglParams, TruncatedFgl, law_p_series
 from .errors import IntegralityError, InternalConsistencyError, StructuralError, guard, require_int
-from .ring import INTEGERS, RATIONALS, SparsePoly, TruncationPolicy, _fraction, _grlex_sorted
+from .ring import INTEGERS, RATIONALS, SparsePoly, TruncationPolicy, _grlex_sorted
 from .witt import VARS
-
-
-def honda_log(params: FglParams, degree: int) -> SparsePoly:
-    """The logarithm sum_{i>=0, p^(s*i) < degree} x^(p^(s*i)) / p^i, over Q."""
-    Fraction = _fraction()
-    _check_degree(degree)
-    guard((params.p, params.s), DEFAULT_MAX_Y_CAP, "the exponent p^s of the Honda logarithm")
-    terms = {}
-    i = 0
-    while params.p ** (params.s * i) < degree:
-        terms[(params.p ** (params.s * i),)] = Fraction(1, params.p**i)
-        i += 1
-    return SparsePoly(("x",), RATIONALS, terms)
 
 
 def revert_series(f: SparsePoly, degree: int) -> SparsePoly:
@@ -99,13 +86,15 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
     Z.  A remainder, an IntegralityError naming the monomial, would falsify
     the whole construction; nothing here catches it.  The resource guard
     refuses a degree D beyond DEFAULT_MAX_Y_CAP: D bounds the same bivariate
-    exponents the y-cap does.
+    exponents the y-cap does, and p^s is guarded before it is computed.
     """
     _check_degree(degree)
-    trunc = TruncationPolicy(degree)
     p = params.p
-    log = {e: c * p ** (e[0] - 1) for e, c in honda_log(params, degree).terms.items()}
-    log = SparsePoly(("x",), INTEGERS, log)  # L(t) = l(pt)/p
+    guard((p, params.s), DEFAULT_MAX_Y_CAP, "the exponent p^s of the Honda logarithm")
+    trunc = TruncationPolicy(degree)
+    q = p**params.s  # q >= 2, so q^i < D needs i < log2(D)
+    log = {(q**i,): p ** (q**i - i - 1) for i in range(degree.bit_length()) if q**i < degree}
+    log = SparsePoly(("x",), INTEGERS, log)  # L(t) = l(pt)/p = sum_i p^(q^i - i - 1) t^(q^i)
     exp = revert_series(log, degree)
     power = log._powers(trunc)
     powers = [power(j).terms for j in range(degree)]  # L^j mod t^D

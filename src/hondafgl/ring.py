@@ -115,18 +115,16 @@ class Domain(NamedTuple("Domain", [("kind", str), ("p", int | None)])):
         return super().__new__(cls, kind, p)
 
     def normalize(self, c) -> Coeff:
-        """Bring a raw coefficient, an int or a Fraction, into canonical form
-        for this domain.  An int over F_p or Z takes no import."""
-        if isinstance(c, int) and self.kind != _RAT:
+        """Bring a raw coefficient into canonical form for this domain: an
+        int over F_p or Z, which takes no import, an int or a Fraction over Q."""
+        if self.kind != _RAT:
+            if not isinstance(c, int):
+                raise StructuralError(f"coefficient {c!r} is a {type(c).__name__}, not an int, over {self}")
             return c % self.p if self.kind == _FP else int(c)
         Fraction = _fraction()
         if not isinstance(c, (int, Fraction)):
             raise StructuralError(f"coefficient {c!r} is a {type(c).__name__}, not an int or a Fraction")
-        if self.kind == _RAT:
-            return c if isinstance(c, Fraction) else Fraction(c)
-        if c.denominator != 1:
-            raise StructuralError(f"non-integer coefficient {c} over {self}")
-        return c.numerator % self.p if self.kind == _FP else c.numerator
+        return c if isinstance(c, Fraction) else Fraction(c)
 
     def to_json_dict(self) -> dict:
         if self.kind == _FP:

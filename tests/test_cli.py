@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -352,6 +353,27 @@ def test_unwritable_out_exits_two(tmp_path, capsys):
         assert not out
         assert err.startswith(f"fgl: invalid parameters: cannot write --out {target}")
         assert len(err.splitlines()) == 1
+
+
+def test_out_write_error_is_an_error_not_a_parameter(monkeypatch, capsys):
+    # the file opens, then a write fails as on a full disk: one stderr line,
+    # exit 2, and the file is closed
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    opened = []
+
+    def full_open(*args):
+        opened.append(Full())
+        return opened[-1]
+
+    monkeypatch.setattr(hondafgl.cli, "open", full_open, raising=False)
+    status, out, err = run_cli(capsys, "compute", "--p", "2", "--s", "2", "--level", "2", "--out", "full.txt")
+    assert status == 2
+    assert not out
+    assert err == f"fgl: error: cannot write --out full.txt: {os.strerror(errno.ENOSPC)}\n"
+    assert [f.closed for f in opened] == [True]
 
 
 def test_closed_stdout_pipe_exits_two():

@@ -247,6 +247,9 @@ def test_extend_rejects_bad_towers():
     other = initial_fgl(FglParams(3, 2))
     with pytest.raises(StructuralError, match=r"^tower mixes parameters FglParams\(p=2, s=2\) and FglParams\(p=3, s=2\)$"):
         extend([t1, TruncatedFgl(FglParams(3, 2), 2, extend([other]).poly)])
+    xz = SparsePoly(("x", "z"), params.fp, {(1, 0): 1, (0, 1): 1})
+    with pytest.raises(StructuralError, match=r"^tower polynomials must live in \('x', 'y'\)$"):
+        extend([TruncatedFgl(params, 1, xz)])
 
 
 def test_extend_memory_guard():

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
-from hondafgl.errors import ParameterError, ResourceLimitError
+from hondafgl import witt
+from hondafgl.cli import main
+from hondafgl.errors import InternalConsistencyError, ParameterError, ResourceLimitError
 from hondafgl.ring import INTEGERS, SparsePoly, prime_field
-from hondafgl.witt import VARS, _power, witt_family, witt_mod_p
+from hondafgl.witt import VARS, WittFamily, _power, witt_family, witt_mod_p
 
 
 # tiny independent arithmetic on {(i, j): coeff} dicts, used as the
@@ -149,3 +151,40 @@ def test_degree_guard(monkeypatch):
     assert fam.jmax == 3
     with pytest.raises(ResourceLimitError):
         witt_family(2, 4)
+
+
+# ---- the certificate's failure branches ------------------------------------------
+
+
+def test_verify_refuses_a_changed_coefficient():
+    w = witt_family(2, 2).polys
+    e = next(iter(w[2].terms))
+    changed = w[2] + SparsePoly(VARS, INTEGERS, {e: 1})
+    with pytest.raises(InternalConsistencyError, match=r"^Witt identity fails at p=2, n=2$"):
+        WittFamily(2, (w[0], w[1], changed)).verify()
+
+
+def _off_by_one_power(monkeypatch):
+    # every power w^k gains 1 on its x^deg term, so the solve's first
+    # numerator is no longer divisible by p
+    power = witt._power
+
+    def off_by_one(w, k):
+        out = power(w, k)
+        return out + SparsePoly(VARS, INTEGERS, {max(out.terms): 1})
+
+    monkeypatch.setattr(witt, "_power", off_by_one)
+
+
+def test_solve_refuses_an_inexact_division(monkeypatch):
+    _off_by_one_power(monkeypatch)
+    with pytest.raises(InternalConsistencyError, match=r"^coefficient -1 of \(2, 0\) in w_1 numerator not divisible by 2$"):
+        witt_family(2, 2)
+
+
+def test_cli_reports_a_failed_certificate(monkeypatch, capsys):
+    _off_by_one_power(monkeypatch)
+    assert main(["witt", "--p", "2", "--jmax", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("fgl: error: ") and len(err.splitlines()) == 1
