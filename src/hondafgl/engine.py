@@ -23,7 +23,9 @@ asserts at run time that y^(q^j) divides every S_j, j >= 1, not assuming it.
 
 The y-cap q^n is the engine's resource guard: `build_tower` refuses a tower
 whose top y-cap is past the limit before it builds any level, and `extend`
-checks each level it adds (see `errors.guard`).
+checks each level it adds (see `errors.guard`).  Level 1 extends nothing and
+passes, so `coefficient_table` and `p_series`, whose cost grows with q, guard
+the y-cap of the level they read.
 
 Also here: coefficient extraction F = sum A_l(x) y^l, the degree-bound
 verifier (x-degree <= (pq)^m wherever the y-degree is < q^m), p-series
@@ -141,7 +143,9 @@ def build_tower(params: FglParams, level: int) -> list[TruncatedFgl]:
 
 
 def coefficient_table(f: TruncatedFgl) -> dict[int, SparsePoly]:
-    """The polynomials A_l(x) with F = sum_l A_l(x) y^l, for 0 <= l < q^n."""
+    """The polynomials A_l(x) with F = sum_l A_l(x) y^l, for 0 <= l < q^n:
+    one per l, so the y-cap is guarded, as `build_tower` guards no level 1."""
+    guard(f.y_cap, DEFAULT_MAX_Y_CAP, f"the y-cap of level {f.level}")
     x_only = ("x",)
     fp = f.params.fp
     rows: dict[int, dict] = {l: {} for l in range(f.y_cap)}
@@ -204,6 +208,7 @@ def p_series(tower: Sequence[TruncatedFgl], k: int) -> PSeries:
     """
     params, n = _validate_tower(tower)
     bound = params.q**n
+    guard(bound, DEFAULT_MAX_Y_CAP, f"the y-cap of level {n}")  # `build_tower` guards no level 1
     return PSeries(params, k, law_p_series(tower[n - 1].poly, k, bound), bound)
 
 

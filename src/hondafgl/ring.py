@@ -46,8 +46,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from functools import cache
-from itertools import repeat
-from operator import add, getitem, itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import ParameterError, StructuralError, _is_int, shown
@@ -221,11 +220,21 @@ def _add_into(out: dict, terms: Mapping[Exponent, Coeff], p: int | None) -> dict
 
 def _reduce(terms: dict, p: int | None) -> dict:
     """The term map `terms`, in place: reduced mod p over F_p (p None
-    otherwise), zeros dropped."""
+    otherwise), zeros dropped.  One pass finds the zeros and, over F_p,
+    rewrites only a coefficient outside [0, p): most of a map that was
+    reduced before and then added to need no store, so no key is hashed
+    again."""
     if p:
+        zeros = []
         for e, c in terms.items():
-            terms[e] = c % p
-    for e in [e for e, c in terms.items() if not c]:
+            if not 0 < c < p:
+                if c := c % p:
+                    terms[e] = c
+                else:
+                    zeros.append(e)
+    else:
+        zeros = [e for e, c in terms.items() if not c]
+    for e in zeros:
         del terms[e]
     return terms
 
@@ -476,8 +485,9 @@ class SparsePoly:
         """Human-readable form, e.g. 'x^3*y + x*y^3', in canonical order, as
         consecutive pieces of _BLOCK terms each; `to_text` is their join.
         Only the sort and a head ' + c' or ' - c' per distinct coefficient
-        run in Python; C-level maps join each block's terms from the heads
-        and the factors '*v^k', each made on first use.  Then a coefficient 1
+        run in Python.  Each block is built by columns, all C-level maps over
+        the block: the heads, and per variable its factors '*v^k', each made
+        on first use; zipped, each term is one join.  Then a coefficient 1
         is dropped by replacing ' + 1*' and ' - 1*': no monomial holds a space."""
         if not self.terms:
             yield "0"
@@ -487,8 +497,8 @@ class SparsePoly:
         factors = [_Factors({0: "", 1: f"*{v}"}) for v in self.variables]
         for start in range(0, len(order), _BLOCK):
             chunk = order[start : start + _BLOCK]
-            monos = map("".join, map(map, repeat(getitem), repeat(factors), chunk))
-            text = "".join(map(add, map(heads.__getitem__, map(terms.__getitem__, chunk)), monos))
+            columns = [map(f.__getitem__, map(itemgetter(i), chunk)) for i, f in enumerate(factors)]
+            text = "".join(map("".join, zip(map(heads.__getitem__, map(terms.__getitem__, chunk)), *columns)))
             text = text.replace(" + 1*", " + ").replace(" - 1*", " - ")
             yield text if start else text[3:] if text[1] == "+" else "-" + text[3:]
 

@@ -217,6 +217,24 @@ def test_huge_powers_refused_at_once(capsys, monkeypatch, argv, status, err):
 
 
 @pytest.mark.parametrize(
+    "argv,q",
+    [
+        # p - 1 diagonal substitutions: 7.9 s, and past 15 s at p = 1000003
+        ("pseries --p 100003 --s 2 --level 1 --k 1", 100003),
+        # one row A_l = 0 per l < q: 12.9 MB of them
+        ("compute --p 1000003 --s 2 --level 1 --coeff-table", 1000003),
+    ],
+)
+def test_level_one_y_cap_is_guarded_where_read(capsys, argv, q):
+    start = time.perf_counter()
+    got = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 1
+    assert got == (3, "", f"fgl: resource guard: the y-cap of level 1 is {q}, beyond the limit 10000\n")
+    # level 1 itself is still built without a guard
+    assert run_cli(capsys, "compute", "--p", str(q), "--s", "2", "--level", "1") == (0, f"# fgl p={q} s=2 q={q} level=1 y_cap={q}\nx + y\n", "")
+
+
+@pytest.mark.parametrize(
     "argv,status,err",
     [
         ("pseries --p 2 --s 2 --level 8 --k -1", 2, "k must be >= 0, got -1"),

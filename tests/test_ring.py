@@ -8,6 +8,7 @@ import pytest
 
 from hondafgl.errors import ParameterError, StructuralError
 from hondafgl.ring import (
+    _BLOCK,
     INTEGERS,
     NO_TRUNCATION,
     RATIONALS,
@@ -16,6 +17,7 @@ from hondafgl.ring import (
     TruncationPolicy,
     elementary_symmetric_all,
     _is_prime,
+    _reduce,
     prime_field,
 )
 
@@ -387,6 +389,24 @@ def test_arithmetic_results_equal_their_validated_copies(domain):
                     assert q.terms == terms
 
 
+@pytest.mark.parametrize(
+    "p,raw,reduced",
+    [
+        # over F_5: negatives and values >= 5 reduced, each zero dropped,
+        # residues already in [0, 5) kept as they are
+        (5, [-1, 7, 0, 3, 5, -10, 12, 1, -5, 4], {0: 4, 1: 2, 3: 3, 6: 2, 7: 1, 9: 4}),
+        # over Z and Q: only the zeros dropped
+        (None, [-1, 7, 0, 3, 5, -10, 0], {0: -1, 1: 7, 3: 3, 4: 5, 5: -10}),
+        (None, [Fraction(-1, 2), Fraction(0), Fraction(7, 3), Fraction(10)], {0: Fraction(-1, 2), 2: Fraction(7, 3), 3: 10}),
+    ],
+)
+def test_reduce_reduces_in_place_and_drops_zeros(p, raw, reduced):
+    terms = {(i, 1): c for i, c in enumerate(raw)}
+    assert _reduce(terms, p) is terms
+    assert terms == {(i, 1): c for i, c in reduced.items()}
+    assert all(type(c) is type(raw[i]) for (i, _), c in terms.items())
+
+
 # ---- substitution ------------------------------------------------------------
 
 
@@ -671,6 +691,17 @@ def test_to_text_matches_reference_renderer(domain):
             polys += [SparsePoly(variables, domain, {x: c, **above}) for c in coeffs if c <= -1]
         for f in polys:
             assert f.to_text() == reference_text(f)
+    # more than 3 blocks in 8 variables, with blocks 2, 3 and 4 starting at
+    # -1, 1 and another negative coefficient
+    seam_coeffs = (-1, 1, Fraction(-11, 7) if domain == RATIONALS else -21)
+    nonzero = [c for c in coeffs if domain.normalize(c)]
+    terms = {tuple(rng.randint(0, 12) for _ in TEXT_NAMES): rng.choice(nonzero) for _ in range(3 * _BLOCK + 100)}
+    order = [e for e, _ in SparsePoly(TEXT_NAMES, domain, terms).sorted_terms()]
+    terms |= {order[b * _BLOCK]: c for b, c in enumerate(seam_coeffs, start=1)}
+    f = SparsePoly(TEXT_NAMES, domain, terms)
+    blocks = list(f.text_blocks())
+    assert len(blocks) > 3
+    assert f.to_text() == "".join(blocks) == reference_text(f)
 
 
 def test_json_trailing_zeros_trimmed_and_restored():
