@@ -143,9 +143,8 @@ def build_tower(params: FglParams, level: int) -> list[TruncatedFgl]:
 
 
 def coefficient_table(f: TruncatedFgl) -> dict[int, SparsePoly]:
-    """The polynomials A_l(x) with F = sum_l A_l(x) y^l, for 0 <= l < q^n:
-    one per l, so the y-cap is guarded, as `build_tower` guards no level 1."""
-    guard(f.y_cap, DEFAULT_MAX_Y_CAP, f"the y-cap of level {f.level}")
+    """The polynomials A_l(x) with F = sum_l A_l(x) y^l, for 0 <= l < q^n."""
+    guard(f.y_cap, DEFAULT_MAX_Y_CAP, f"the y-cap of level {f.level}")  # `build_tower` guards no level 1
     x_only = ("x",)
     fp = f.params.fp
     rows: dict[int, dict] = {l: {} for l in range(f.y_cap)}

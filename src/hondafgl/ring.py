@@ -219,11 +219,9 @@ def _add_into(out: dict, terms: Mapping[Exponent, Coeff], p: int | None) -> dict
 
 
 def _reduce(terms: dict, p: int | None) -> dict:
-    """The term map `terms`, in place: reduced mod p over F_p (p None
-    otherwise), zeros dropped.  One pass finds the zeros and, over F_p,
-    rewrites only a coefficient outside [0, p): most of a map that was
-    reduced before and then added to need no store, so no key is hashed
-    again."""
+    """The term map `terms`, in place and in one pass: reduced mod p over F_p
+    (p None otherwise), zeros dropped.  Only a coefficient outside [0, p) is
+    stored, so a map mostly reduced already hashes few keys again."""
     if p:
         zeros = []
         for e, c in terms.items():
