@@ -231,7 +231,8 @@ def test_level_one_y_cap_is_guarded_where_read(capsys, argv, q):
     assert time.perf_counter() - start < 1
     assert got == (3, "", f"fgl: resource guard: the y-cap of level 1 is {q}, beyond the limit 10000\n")
     # level 1 itself is still built without a guard
-    assert run_cli(capsys, "compute", "--p", str(q), "--s", "2", "--level", "1") == (0, f"# fgl p={q} s=2 q={q} level=1 y_cap={q}\nx + y\n", "")
+    got = run_cli(capsys, "compute", "--p", str(q), "--s", "2", "--level", "1")
+    assert got == (0, f"# fgl p={q} s=2 q={q} level=1 y_cap={q}\nx + y\n", "")
 
 
 @pytest.mark.parametrize(
