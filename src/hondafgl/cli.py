@@ -23,7 +23,7 @@ import sys
 from . import chern as chern_mod
 from . import engine, oracle, witt
 from .errors import FglError, ParameterError, ResourceLimitError, require_int, shown, too_long_to_print
-from .ring import SparsePoly
+from .ring import RATIONALS, SparsePoly
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,7 +174,7 @@ def _cmd_oracle(args):
         want = {(exponent,): 1} if exponent < args.degree else {}
         checks["pseries"] = dict(oracle.oracle_p_series(orc, 1).terms) == want
     payload = {"p": params.p, "s": params.s, "degree": args.degree}
-    payload |= {"poly_mod_p": orc.poly_mod_p, "poly_rational": orc.poly_rational}
+    payload |= {"poly_mod_p": orc.poly_mod_p, "poly_rational": SparsePoly(orc.poly.variables, RATIONALS, orc.poly.terms)}
     if checks:
         payload["checks"] = checks
 

@@ -7,10 +7,10 @@ law has logarithm l(x) = sum_{i>=0} x^(p^(s*i)) / p^i over Q, and
 
 computed here modulo a *total* degree bound D, in Z throughout: under
 x = p*t the logarithm becomes L(t) = l(pt)/p = sum_i p^(q^i - i - 1) t^(q^i)
-with q = p^s, integral and monic.  The oracle starts from L; its inverse E
-is in Z[[t]] and F(x, y) = p*G(x/p, y/p) with G = E(L(u) + L(v)) in Z[[u, v]]:
-[x^i y^j] F = G_ij / p^(i+j-1), and the two truncations at total degree D
-agree.  G is composed by the binomial theorem,
+with q = p^s, integral and monic.  The oracle starts from L; its inverse E,
+solved from the powers of L, is in Z[[t]] and F(x, y) = p*G(x/p, y/p) with
+G = E(L(u) + L(v)) in Z[[u, v]]: [x^i y^j] F = G_ij / p^(i+j-1), and the two
+truncations at total degree D agree.  G is composed by the binomial theorem,
 with univariate powers only: (L(u) + L(v))^k = sum_j C(k, j) L(u)^j L(v)^(k-j),
 so with e_k = [t^k] E,
 
@@ -33,44 +33,40 @@ from math import comb
 from typing import NamedTuple
 
 from .engine import DEFAULT_MAX_Y_CAP, FglParams, TruncatedFgl, law_p_series
-from .errors import IntegralityError, InternalConsistencyError, StructuralError, guard, require_int
-from .ring import INTEGERS, RATIONALS, SparsePoly, TruncationPolicy, _grlex_sorted
+from .errors import IntegralityError, StructuralError, guard, require_int
+from .ring import INTEGERS, SparsePoly, TruncationPolicy, _grlex_sorted
 from .witt import VARS
 
 
 def revert_series(f: SparsePoly, degree: int) -> SparsePoly:
-    """Compositional inverse g of f modulo x^degree, over Z, with no products.
-
-    Requires f = x + sum_k c_k x^k.  Write g = x*u; each w = u^k obeys Miller's
-    power recurrence n*w_n = sum_{j=1..n} ((k+1)j - n) u_j w_(n-j) (Knuth,
-    TAOCP vol. 2, 4.7), and f(g) = x gives g_d = -sum_k c_k [x^(d-k)] u^k, which
-    needs u only below x^(d-1): each degree is solved online.  The division
-    by n must be exact; a remainder is an InternalConsistencyError.
-    """
+    """Compositional inverse of f = x + O(x^2) over Z modulo x^degree: `_revert`
+    over the powers of f, which the ring forms."""
     _check_degree(degree)
     if f.variables != ("x",) or f.domain != INTEGERS:
         raise StructuralError("reversion expects a univariate series over Z in x")
     if f.coefficient((0,)) != 0 or f.coefficient((1,)) != 1:
         raise StructuralError(f"reversion needs f = x + O(x^2), got {f}")
-    c = {k: ck for (k,), ck in f.terms.items() if 1 < k < degree}
-    u, w = [1], {k: [1] for k in c}  # u[n] = [x^(n+1)] g; w[k][n] = [x^n] u^k
+    power = f._powers(TruncationPolicy(degree))
+    return _revert([power(k).terms for k in range(degree)], degree)
+
+
+def _revert(powers: list, degree: int) -> SparsePoly:
+    """The inverse g of f = x + O(x^2) modulo x^degree, from the term maps of
+    f^0 .. f^(degree-1).  g(f) = sum_k g_k f^k = x and f^k = x^k + O(x^(k+1))
+    solve g degree by degree: g_1 = 1, g_d = -sum_(1<=k<d) g_k [x^d] f^k,
+    exact in Z with no division."""
+    g = {1: 1}
     for d in range(2, degree):
-        for k in (k for k in c if k < d):
-            n = d - k
-            total = sum(((k + 1) * j - n) * u[j] * w[k][n - j] for j in range(1, n + 1))
-            w[k].append(total // n)
-            if w[k][n] * n != total:
-                raise InternalConsistencyError(f"[x^{n}] u^{k} = {total}/{n} is not integral")
-        u.append(-sum(ck * w[k][d - k] for k, ck in c.items() if k <= d))
-    return SparsePoly(("x",), INTEGERS, {(n + 1,): un for n, un in enumerate(u)})
+        g[d] = -sum(gk * powers[k].get((d,), 0) for k, gk in g.items())
+    return SparsePoly._trusted(("x",), INTEGERS, {(k,): gk for k, gk in g.items()})
 
 
 class OracleFgl(NamedTuple):
-    """F modulo total degree `degree`, over Q (its coefficients are integers) and mod p."""
+    """F modulo total degree `degree`, over Z and mod p."""
 
     params: FglParams
     degree: int
-    poly_rational: SparsePoly
+    poly: SparsePoly
     poly_mod_p: SparsePoly
 
 
@@ -95,9 +91,9 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
     q = p**params.s  # q >= 2, so q^i < D needs i < log2(D)
     log = {(q**i,): p ** (q**i - i - 1) for i in range(degree.bit_length()) if q**i < degree}
     log = SparsePoly(("x",), INTEGERS, log)  # L(t) = l(pt)/p = sum_i p^(q^i - i - 1) t^(q^i)
-    exp = revert_series(log, degree)
     power = log._powers(trunc)
     powers = [power(j).terms for j in range(degree)]  # L^j mod t^D
+    exp = _revert(powers, degree)
     g: dict = {}
     for j, lj in enumerate(powers):
         r: dict = {}  # R_j = sum_l e_(j+l) C(j+l, j) L^l, below t^(D-j)
@@ -114,8 +110,8 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
         g[e], r = divmod(c, p ** (sum(e) - 1))
         if r:
             raise IntegralityError(f"coefficient {c}/{p ** (sum(e) - 1)} of monomial {e} of F is not an integer")
-    poly_rational = SparsePoly(VARS, RATIONALS, g)  # a copy: g is then reduced mod p in place
-    return OracleFgl(params, degree, poly_rational, SparsePoly._trusted(VARS, params.fp, g))
+    poly = SparsePoly._trusted(VARS, INTEGERS, g)
+    return OracleFgl(params, degree, poly, poly.map_domain(params.fp))
 
 
 def oracle_p_series(oracle: OracleFgl, k: int = 1) -> SparsePoly:

@@ -107,7 +107,7 @@ class Domain(NamedTuple("Domain", [("kind", str), ("p", int | None)])):
         if kind not in (_FP, _INT, _RAT):
             raise StructuralError(f"unknown coefficient domain kind {kind!r}")
         if kind == _FP:
-            if p is None or not _is_prime(p):
+            if not _is_int(p) or not _is_prime(p):
                 raise ParameterError(f"prime field modulus must be prime, got {shown(p)}")
         elif p is not None:
             raise StructuralError(f"domain {kind!r} takes no modulus")
@@ -165,7 +165,7 @@ class TruncationPolicy(NamedTuple("TruncationPolicy", [("bound", int | None), ("
 
 NO_TRUNCATION = TruncationPolicy()
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _CHECKED: set[tuple[str, ...]] = set()  # variable tuples already validated
 _BLOCK = 2048  # terms per block of `text_blocks`
 
@@ -258,7 +258,7 @@ class SparsePoly:
             if len(set(variables)) != len(variables):
                 raise StructuralError(f"duplicate variable in {variables}")
             for v in variables:
-                if not _NAME_RE.match(v):
+                if not _NAME_RE.fullmatch(v):
                     raise StructuralError(f"invalid variable name {v!r}")
             _CHECKED.add(variables)
         clean: dict[Exponent, Coeff] = {}

@@ -217,19 +217,34 @@ def test_criterion_10_determinism():
             assert outputs[0] == outputs[1], f"nondeterministic output for {argv}"
 
 
+def loaded(statement):
+    """The modules loaded in a fresh interpreter after `statement`; whatever
+    it writes to stdout is discarded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; {statement}; sys.stderr.write(' '.join(sys.modules))"],
+        capture_output=True, text=True, env=minimal_env(), check=True,
+    )
+    return set(proc.stderr.split())
+
+
 def test_cli_import_footprint():
     # Every fgl run pays for its imports.  Importing the CLI loads neither
     # dataclasses (with the inspect, ast and dis it pulls in) nor json, which
     # only --json output needs, nor fractions (with decimal), which only a Q
     # coefficient needs; counted against a bare start of the same
     # interpreter, so that whatever site preloads on a host does not count.
-    def loaded(statement):
-        proc = subprocess.run(
-            [sys.executable, "-c", f"import sys; {statement}; print(*sys.modules)"],
-            capture_output=True, text=True, env=minimal_env(), check=True,
-        )
-        return set(proc.stdout.split())
-
     new = loaded("import hondafgl.cli") - loaded("pass")
     assert "hondafgl.cli" in new
     assert not new & {"dataclasses", "inspect", "json", "fractions", "decimal"}
+
+
+def test_only_the_printed_rational_law_loads_fractions():
+    # the oracle works in Z: verify compares F mod p and makes no Fraction;
+    # only `fgl oracle` makes the Q copy of F that its JSON prints
+    def run(*argv):
+        return loaded(f"from hondafgl.cli import main; assert main({list(argv)!r}) == 0")
+
+    bare = loaded("pass")
+    assert "fractions" not in bare
+    assert "fractions" not in run("verify", "--p", "2", "--s", "2", "--level", "5", "--degree", "65")
+    assert "fractions" in run("oracle", "--p", "2", "--s", "2", "--degree", "9", "--json")

@@ -52,6 +52,11 @@ def test_prime_field_requires_prime():
         prime_field(1)
     with pytest.raises(ParameterError, match="^prime field modulus must be prime, got None$"):
         Domain("fp")
+    # a float modulus is refused by its type, though 2.0 == 2 and 7.0 is prime
+    with pytest.raises(ParameterError, match="^prime field modulus must be prime, got 2.0$"):
+        prime_field(2.0)
+    with pytest.raises(ParameterError, match="^prime field modulus must be prime, got 7.0$"):
+        Domain("fp", 7.0)
     with pytest.raises(StructuralError, match="^unknown coefficient domain kind 'mod'$"):
         Domain("mod", 2)
     with pytest.raises(StructuralError, match="^domain 'int' takes no modulus$"):
@@ -133,7 +138,7 @@ def test_graded_lex_order():
 def test_variable_validation():
     with pytest.raises(StructuralError, match=r"^'z' is not one of \('x', 'y'\)$"):
         SparsePoly.variable(XY, F2, "z")
-    for variables in ((), ("x", "x"), ("x", "2y"), ("x", "y z")):
+    for variables in ((), ("x", "x"), ("x", "2y"), ("x", "y z"), ("x\n",), ("x", "y\n")):
         for _ in range(2):  # a refused variable tuple is not remembered as checked
             with pytest.raises(StructuralError):
                 SparsePoly(variables, INTEGERS, {})
