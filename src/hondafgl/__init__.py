@@ -44,7 +44,6 @@ from .oracle import (
 from .ring import (
     INTEGERS,
     NO_TRUNCATION,
-    RATIONALS,
     Domain,
     SparsePoly,
     TruncationPolicy,

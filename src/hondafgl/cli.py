@@ -8,11 +8,12 @@ lives in the library and reads FGL_MAX_TERMS from the environment at each
 check; a tower deeper than the y-cap allows is refused before any level is
 built.
 Each subcommand returns (payload, text, status): `payload` is the --json
-object, its polynomials still SparsePoly values, and `text` a generator
-function of the text lines, each a string, a SparsePoly, or a tuple of
-them.  No subcommand looks at the output form; `main` alone renders the one
-asked for and writes it, a polynomial block by block, so no line's whole
-text is built.
+object, its polynomials still SparsePoly values (or, where a text run need
+not make one, a function of no arguments that makes its JSON value), and
+`text` a generator function of the text lines, each a string, a SparsePoly,
+or a tuple of them.  No subcommand looks at the output form; `main` alone
+renders the one asked for and writes it, a polynomial block by block, so no
+line's whole text is built.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from . import chern as chern_mod
 from . import engine, oracle, witt
 from .errors import FglError, ParameterError, ResourceLimitError, require_int, shown, too_long_to_print
-from .ring import RATIONALS, SparsePoly
+from .ring import SparsePoly
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,8 +174,9 @@ def _cmd_oracle(args):
         exponent = params.p**params.s
         want = {(exponent,): 1} if exponent < args.degree else {}
         checks["pseries"] = dict(oracle.oracle_p_series(orc, 1).terms) == want
-    payload = {"p": params.p, "s": params.s, "degree": args.degree}
-    payload |= {"poly_mod_p": orc.poly_mod_p, "poly_rational": SparsePoly(orc.poly.variables, RATIONALS, orc.poly.terms)}
+    payload = {"p": params.p, "s": params.s, "degree": args.degree, "poly_mod_p": orc.poly_mod_p}
+    # F over Q is F over Z, which oracle_fgl certifies integral: its ints under the label Q
+    payload["poly_rational"] = lambda: orc.poly.to_json_dict() | {"domain": {"kind": "rat"}}
     if checks:
         payload["checks"] = checks
 
@@ -255,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         import json  # only --json uses it; a text run does not load it
 
-        chunks = [json.dumps(payload, separators=(",", ":"), default=SparsePoly.to_json_dict), "\n"]
+        dumped = json.dumps(payload, separators=(",", ":"), default=lambda v: v() if callable(v) else v.to_json_dict())
+        chunks = [dumped, "\n"]
     else:
         chunks = _text_chunks(text())
     try:

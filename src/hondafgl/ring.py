@@ -1,10 +1,8 @@
-"""Exact sparse multivariate polynomial arithmetic over F_p, Z, and Q.
+"""Exact sparse multivariate polynomial arithmetic over F_p and Z.
 
 A polynomial is a finite map from exponent tuples (one entry per variable of
 an explicit, ordered variable set) to nonzero coefficients.  Coefficients are
-plain ints for the integer and prime-field domains and `fractions.Fraction`
-for the rational domain, imported only where one is made; prime-field
-residues are kept canonical in [0, p).
+plain ints; prime-field residues are kept canonical in [0, p).
 Zero coefficients are never stored, so equality of term maps is equality of
 polynomials.
 
@@ -31,8 +29,8 @@ they skip those checks; their coefficients are only reduced mod p over F_p,
 and zeros dropped.
 
 Every power, in `pow` and in substitution, goes through `_powers`.  Over Z
-and Q it forms the consecutive products self^k = self^(k-1) * self.  Over F_p
-it multiplies only inside self^0 .. self^(p-1): a p^r-th power is a Frobenius
+it forms the consecutive products self^k = self^(k-1) * self.  Over F_p it
+multiplies only inside self^0 .. self^(p-1): a p^r-th power is a Frobenius
 twist, (sum c m)^(p^r) = sum c m^(p^r) since c^p = c, so self^k is a product
 of twists, one per base-p digit of k.
 
@@ -45,31 +43,19 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from functools import cache
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParameterError, StructuralError, _is_int, shown
 
 Exponent = tuple[int, ...]
-Coeff = Union[int, "Fraction"]  # fractions.Fraction
 
 _FP = "fp"
 _INT = "int"
-_RAT = "rat"
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-@cache
-def _fraction() -> type:
-    """fractions.Fraction, imported where a Q coefficient is first made: it
-    loads decimal and numbers too, which nothing over F_p or Z needs."""
-    from fractions import Fraction
-
-    return Fraction
 
 
 def _is_prime(n: int) -> bool:
@@ -99,12 +85,12 @@ def _is_prime(n: int) -> bool:
 
 
 class Domain(NamedTuple("Domain", [("kind", str), ("p", int | None)])):
-    """Coefficient domain: a prime field F_p, the integers, or the rationals."""
+    """Coefficient domain: a prime field F_p or the integers."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, p: int | None = None):
-        if kind not in (_FP, _INT, _RAT):
+        if kind not in (_FP, _INT):
             raise StructuralError(f"unknown coefficient domain kind {kind!r}")
         if kind == _FP:
             if not _is_int(p) or not _is_prime(p):
@@ -113,17 +99,11 @@ class Domain(NamedTuple("Domain", [("kind", str), ("p", int | None)])):
             raise StructuralError(f"domain {kind!r} takes no modulus")
         return super().__new__(cls, kind, p)
 
-    def normalize(self, c) -> Coeff:
-        """Bring a raw coefficient into canonical form for this domain: an
-        int over F_p or Z, which takes no import, an int or a Fraction over Q."""
-        if self.kind != _RAT:
-            if not isinstance(c, int):
-                raise StructuralError(f"coefficient {c!r} is a {type(c).__name__}, not an int, over {self}")
-            return c % self.p if self.kind == _FP else int(c)
-        Fraction = _fraction()
-        if not isinstance(c, (int, Fraction)):
-            raise StructuralError(f"coefficient {c!r} is a {type(c).__name__}, not an int or a Fraction")
-        return c if isinstance(c, Fraction) else Fraction(c)
+    def normalize(self, c) -> int:
+        """A raw coefficient in canonical form: an int, reduced mod p over F_p."""
+        if not _is_int(c):
+            raise StructuralError(f"coefficient {c!r} is a {type(c).__name__}, not an int, over {self}")
+        return c % self.p if self.kind == _FP else int(c)
 
     def to_json_dict(self) -> dict:
         if self.kind == _FP:
@@ -131,13 +111,10 @@ class Domain(NamedTuple("Domain", [("kind", str), ("p", int | None)])):
         return {"kind": self.kind}
 
     def __str__(self) -> str:
-        if self.kind == _FP:
-            return f"F_{self.p}"
-        return "Z" if self.kind == _INT else "Q"
+        return f"F_{self.p}" if self.kind == _FP else "Z"
 
 
 INTEGERS = Domain(_INT)
-RATIONALS = Domain(_RAT)
 
 
 def prime_field(p: int) -> Domain:
@@ -187,7 +164,7 @@ def _grlex_sorted(exponents) -> list[Exponent]:
     return out
 
 
-def _mul_into(out: dict, left: Iterable[tuple[Exponent, Coeff]], right: tuple, scale: Coeff = 1) -> dict:
+def _mul_into(out: dict, left: Iterable[tuple[Exponent, int]], right: tuple, scale: int = 1) -> dict:
     """Add scale * left * right into the term map `out`, which the caller
     owns, and return it unreduced.  `left` is any run of (exponent,
     coefficient) pairs; `right` is a factor from `_by_weight`, whose terms
@@ -203,7 +180,7 @@ def _mul_into(out: dict, left: Iterable[tuple[Exponent, Coeff]], right: tuple, s
     return out
 
 
-def _add_into(out: dict, terms: Mapping[Exponent, Coeff], p: int | None) -> dict:
+def _add_into(out: dict, terms: Mapping[Exponent, int], p: int | None) -> dict:
     """Add the term map `terms` into `out`, in place: each sum reduced mod p
     over F_p (p None otherwise), a zero dropped.  out's other terms are not
     touched."""
@@ -250,7 +227,7 @@ class SparsePoly:
 
     __slots__ = ("variables", "domain", "terms")
 
-    def __init__(self, variables: Sequence[str], domain: Domain, terms: Mapping[Exponent, Coeff] | None = None):
+    def __init__(self, variables: Sequence[str], domain: Domain, terms: Mapping[Exponent, int] | None = None):
         variables = tuple(variables)
         if variables not in _CHECKED:
             if not variables:
@@ -261,7 +238,7 @@ class SparsePoly:
                 if not _NAME_RE.fullmatch(v):
                     raise StructuralError(f"invalid variable name {v!r}")
             _CHECKED.add(variables)
-        clean: dict[Exponent, Coeff] = {}
+        clean: dict[Exponent, int] = {}
         for e, c in (terms or {}).items():
             e, c = _exponent(e, variables), domain.normalize(c)
             if c:
@@ -277,7 +254,7 @@ class SparsePoly:
     def _trusted(cls, variables: tuple[str, ...], domain: Domain, terms: dict, reduced: bool = False) -> "SparsePoly":
         """A result of the ring's own arithmetic, right by construction but for
         its coefficients: `terms`, a dict no one else holds, is reduced mod p
-        in place over F_p (over Q they are Fractions already), zeros dropped,
+        in place over F_p, zeros dropped,
         unless the caller has `reduced` them already."""
         if not reduced:
             _reduce(terms, domain.p)
@@ -319,12 +296,12 @@ class SparsePoly:
 
     __hash__ = None
 
-    def coefficient(self, exponent: Exponent) -> Coeff:
+    def coefficient(self, exponent: Exponent) -> int:
         """The coefficient of one monomial, 0 if absent; the exponent is
         checked as the constructor checks it."""
-        return self.terms.get(_exponent(exponent, self.variables), self.domain.normalize(0))
+        return self.terms.get(_exponent(exponent, self.variables), 0)
 
-    def sorted_terms(self) -> list[tuple[Exponent, Coeff]]:
+    def sorted_terms(self) -> list[tuple[Exponent, int]]:
         """Terms in canonical graded-lex order."""
         return [(e, self.terms[e]) for e in _grlex_sorted(self.terms)]
 
@@ -377,7 +354,7 @@ class SparsePoly:
 
     def pow(self, exponent: int, trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """self^exponent modulo `trunc`.  Every power goes through `_powers`:
-        twists over F_p, consecutive products over Z and Q."""
+        twists over F_p, consecutive products over Z."""
         if not _is_int(exponent) or exponent < 0:
             raise StructuralError(f"exponent must be a non-negative int, got {shown(exponent)}")
         return self._powers(trunc)(exponent)
@@ -391,7 +368,7 @@ class SparsePoly:
     def _powers(self, trunc: TruncationPolicy):
         """The map k -> self^k modulo `trunc`, with self^0 = 1 truncated too.
         Over F_p, the product of the twists (self^d)^(p^r) over the nonzero
-        digits d of k = sum d p^r; over Z and Q, self^(k-1) * self.  Each
+        digits d of k = sum d p^r; over Z, self^(k-1) * self.  Each
         self^d (d < p over F_p) and each twist is made once, when first
         needed, and sorted as a right factor once: self here, a twist when made."""
         p, digits, twists = self.domain.p, [SparsePoly.one(self.variables, self.domain).truncate(trunc)], {}
@@ -458,7 +435,7 @@ class SparsePoly:
 
         # the last factor of each term is multiplied straight into out, scaled
         # by the term's coefficient; out is reduced once, at the end
-        out: dict[Exponent, Coeff] = {}
+        out: dict[Exponent, int] = {}
         one = SparsePoly.one(first.variables, first.domain).terms.items()
         for e, c in self.terms.items():
             *head, last = [powers[i][k] for i, k in enumerate(e) if k] or [powers[0][0]]

@@ -230,8 +230,8 @@ def loaded(statement):
 def test_cli_import_footprint():
     # Every fgl run pays for its imports.  Importing the CLI loads neither
     # dataclasses (with the inspect, ast and dis it pulls in) nor json, which
-    # only --json output needs, nor fractions (with decimal), which only a Q
-    # coefficient needs; counted against a bare start of the same
+    # only --json output needs, nor fractions (with decimal), which no
+    # command needs; counted against a bare start of the same
     # interpreter, so that whatever site preloads on a host does not count.
     new = loaded("import hondafgl.cli") - loaded("pass")
     assert "hondafgl.cli" in new
@@ -239,12 +239,12 @@ def test_cli_import_footprint():
 
 
 def test_only_the_printed_rational_law_loads_fractions():
-    # the oracle works in Z: verify compares F mod p and makes no Fraction;
-    # only `fgl oracle` makes the Q copy of F that its JSON prints
+    # the oracle works in Z, and the law over Q that `fgl oracle --json`
+    # prints is F over Z under the label Q: no command makes a Fraction
     def run(*argv):
         return loaded(f"from hondafgl.cli import main; assert main({list(argv)!r}) == 0")
 
-    bare = loaded("pass")
-    assert "fractions" not in bare
+    assert "fractions" not in loaded("pass")
     assert "fractions" not in run("verify", "--p", "2", "--s", "2", "--level", "5", "--degree", "65")
-    assert "fractions" in run("oracle", "--p", "2", "--s", "2", "--degree", "9", "--json")
+    assert "fractions" not in run("oracle", "--p", "2", "--s", "2", "--degree", "9", "--json")
+    assert "fractions" not in run("oracle", "--p", "2", "--s", "2", "--degree", "9")

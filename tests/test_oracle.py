@@ -15,14 +15,10 @@ from hondafgl.oracle import (
     oracle_p_series,
     revert_series,
 )
-from hondafgl.ring import INTEGERS, RATIONALS, SparsePoly, TruncationPolicy, prime_field
+from hondafgl.ring import INTEGERS, SparsePoly, TruncationPolicy, prime_field
 
 X = ("x",)
 XY = ("x", "y")
-
-
-def qpoly(variables, terms):
-    return SparsePoly(variables, RATIONALS, terms)
 
 
 def zpoly(variables, terms):
@@ -33,10 +29,13 @@ def zpoly(variables, terms):
 
 
 def closed_form_log(params, degree):
-    """l(x) = sum_i x^(q^i) / p^i below x^degree over Q, q = p^s, made here
-    from its closed form, apart from the oracle's own L(t)."""
+    """p^K l(x) = sum_(i<=K) p^(K-i) x^(q^i) over Z, q = p^s, with K the largest
+    i such that q^i < degree: the logarithm l(x) = sum_i x^(q^i) / p^i below
+    x^degree with its denominators cleared, made here from its closed form,
+    apart from the oracle's own L(t)."""
     q = params.p**params.s
-    return qpoly(X, {(q**i,): Fraction(1, params.p**i) for i in range(degree) if q**i < degree})
+    top = max(i for i in range(degree) if q**i < degree)
+    return zpoly(X, {(q**i,): params.p ** (top - i) for i in range(top + 1)})
 
 
 def test_every_oracle_entry_point_checks_the_degree_alike():
@@ -130,7 +129,7 @@ def test_revert_rejects_bad_leading_terms():
     with pytest.raises(StructuralError, match="^reversion needs f = x"):
         revert_series(zpoly(X, {(1,): 2}), 5)
     # Z alone: the oracle reverts only over Z
-    for f in (zpoly(XY, {(1, 0): 1}), qpoly(X, {(1,): 1}), SparsePoly(X, prime_field(2), {(1,): 1})):
+    for f in (zpoly(XY, {(1, 0): 1}), SparsePoly(X, prime_field(2), {(1,): 1})):
         with pytest.raises(StructuralError, match="^reversion expects a univariate series over Z in x$"):
             revert_series(f, 5)
 
@@ -198,22 +197,21 @@ def test_oracle_associativity_small(p, s, degree):
 
 @pytest.mark.parametrize("p,s,degree", [(2, 2, 33), (3, 2, 28), (5, 2, 26), (2, 1, 12)])
 def test_oracle_law_has_the_honda_logarithm(p, s, degree):
-    # l(F(x, y)) = l(x) + l(y) mod total degree D, over Q: a certificate of
-    # the law that does not go through the substitution x = p*t
+    # l(F(x, y)) = l(x) + l(y) mod total degree D, times p^K to stay in Z: a
+    # certificate of the law that does not go through the substitution x = p*t
     params = FglParams(p, s)
     log = closed_form_log(params, degree)
     trunc = TruncationPolicy(degree)
-    x, y = (SparsePoly.variable(XY, RATIONALS, name) for name in XY)
-    law = oracle_fgl(params, degree).poly
-    lhs = log.substitute({"x": SparsePoly(law.variables, RATIONALS, law.terms)}, trunc)
+    x, y = (SparsePoly.variable(XY, INTEGERS, name) for name in XY)
+    lhs = log.substitute({"x": oracle_fgl(params, degree).poly}, trunc)
     assert lhs == log.substitute({"x": x}, trunc) + log.substitute({"x": y}, trunc)
     assert len(lhs.terms) > 2  # the check reaches past the linear terms
 
 
 def bivariate_composition(params, degree):
     """F as the oracle composed it before the binomial form: E(L(u) + L(v))
-    by substitution into the bivariate powers of L(u) + L(v), over Z, then
-    [x^i y^j] F = G_ij / p^(i+j-1)."""
+    by substitution into the bivariate powers of L(u) + L(v), over Z:
+    G_ij = p^(i+j-1) [x^i y^j] F."""
     p = params.p
     trunc = TruncationPolicy(degree)
     q = p**params.s  # L(t) = l(pt)/p = sum_i p^(q^i - i - 1) t^(q^i), from its closed form
@@ -221,8 +219,7 @@ def bivariate_composition(params, degree):
     exp = revert_series(log, degree)
     u, v = (SparsePoly.variable(XY, INTEGERS, name) for name in XY)
     log_sum = log.substitute({"x": u}, trunc) + log.substitute({"x": v}, trunc)
-    g = exp.substitute({"x": log_sum}, trunc)
-    return qpoly(XY, {e: Fraction(c, p ** (sum(e) - 1)) for e, c in g.terms.items()})
+    return exp.substitute({"x": log_sum}, trunc)
 
 
 @pytest.mark.parametrize("p,s,degree", [(2, 1, 20), (2, 2, 65), (3, 2, 40), (5, 2, 30), (2, 3, 33)])
@@ -230,7 +227,7 @@ def test_binomial_composition_equals_bivariate_substitution(p, s, degree):
     # s = 1 makes L dense (q - 1 = 1), so every power of L meets every degree
     params = FglParams(p, s)
     law = oracle_fgl(params, degree).poly
-    assert SparsePoly(law.variables, RATIONALS, law.terms) == bivariate_composition(params, degree)
+    assert zpoly(XY, {e: c * p ** (sum(e) - 1) for e, c in law.terms.items()}) == bivariate_composition(params, degree)
 
 
 def test_height_one_exploration():
