@@ -14,11 +14,12 @@ b0f1d1b, before the oracle composed E(L(u) + L(v)) by the binomial theorem,
 the next at commit 16fdaaf, before the records became named tuples, the
 next at commit 4426354, before `to_text` rendered in C-level passes and a sum
 reduced only the addend's terms, the next at commit 49b9098, before
-`extend` bracketed the collapse ladder from the inside, and the last at
-commit 9dd58af, before products were added straight into their
-destination's term map.  DIGESTS pins, by the
-sha256 of its stdout, one more command frozen at 4426354, one at 49b9098 and
-one at f201360, whose outputs are too large to commit.
+`extend` bracketed the collapse ladder from the inside, the next at commit
+9dd58af, before products were added straight into their destination's term
+map, and the last at commit b72cef2, before every power over F_p came from
+one rule, self^k = (self^(k // p))^p * self^(k mod p).  DIGESTS pins, by the
+sha256 of its stdout, one more command frozen at 4426354, one at 49b9098,
+one at f201360 and one at b72cef2, whose outputs are too large to commit.
 The c37dfb6 entries are the determinism commands of test_acceptance.py and
 towers deep enough to pin the ladder fold at ladder index j up to 3.  The 32d8eea entries add the forms no golden held yet and,
 in FAILING, the reports of a failed check: each reaches its exit-1 branch
@@ -40,7 +41,10 @@ minutes to reach on a 2-vCPU host; its digest is (3,2) level 6, 245 KB, about
 40 s there.  The f201360 digest is (2,2) level 9, 605 KB, about 4.5 s there,
 frozen before every step of the ladder took one rule.  The 9dd58af entry is
 the associativity check at D 129: three-variable substitutions under a
-total-degree cap, deeper than the D 17 entry.  A change to any of
+total-degree cap, deeper than the D 17 entry.  The b72cef2 entries are the
+oracle's agreement at depth, (2,2) level 9 at D 513 and (3,2) level 6 at
+D 729, about 8 s and 3 s in process; its digest is (5,2) level 5, 1.2 MB,
+the tower whose powers that change cut most.  A change to any of
 these outputs is a change of behaviour, not a refactor: the files are not to
 be regenerated to make this test pass.
 """
@@ -113,13 +117,17 @@ GOLDEN = {
     "compute-p7-s2-l4.txt": "compute --p 7 --s 2 --level 4",
     # frozen at 9dd58af
     "oracle-p2-s2-d129-assoc.txt": "oracle --p 2 --s 2 --degree 129 --check-associativity",
+    # frozen at b72cef2
+    "verify-p2-s2-l9-d513.txt": "verify --p 2 --s 2 --level 9 --degree 513",
+    "verify-p3-s2-l6-d729.txt": "verify --p 3 --s 2 --level 6 --degree 729",
 }
 
-# argv -> sha256 of its stdout, frozen at 4426354, at 49b9098 and at f201360
+# argv -> sha256 of its stdout, frozen at 4426354, at 49b9098, at f201360 and at b72cef2
 DIGESTS = {
     "chern --p 7 --s 2 --k 1": "c354e454867badfe693f8cf96b8789eb97d20734b528dcdaa632df1677359ec8",
     "compute --p 3 --s 2 --level 6": "1f7536cbb63f5f0b3f2839cd18646966d9639321c33892375bc5bed7efe3ab10",
     "compute --p 2 --s 2 --level 9": "4d2560391482ac4427ab0cd645d960e73dfaf76e5b273fd80a223f914be170af",
+    "compute --p 5 --s 2 --level 5": "f7322a3285f442717f934a9ed9d2c17ea7092695944b3e9e9319c56c41e026d0",
 }
 
 # frozen at 32d8eea; these exit 1: (argv, module, attribute, report field, value)
