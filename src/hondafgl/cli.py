@@ -262,21 +262,21 @@ def main(argv: list[str] | None = None) -> int:
     else:
         chunks = _text_chunks(text())
     try:
-        out = open(args.out, "w") if args.out else sys.stdout
+        out = open(args.out, "w") if args.out is not None else sys.stdout
     except OSError as exc:  # a path that cannot be opened is a bad parameter
         print(f"fgl: invalid parameters: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
     try:
         out.writelines(chunks)
         out.flush()
-        if args.out:
+        if args.out is not None:
             out.close()
     except OSError as exc:  # a failed write, flush or close, a full disk say, is an error
         try:  # a closed stream is not flushed again, at exit or when collected, into the same error
             out.close()
         except OSError:
             pass
-        where = f"--out {args.out}" if args.out else "standard output"
+        where = f"--out {args.out}" if args.out is not None else "standard output"
         print(f"fgl: error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 2
     return status

@@ -15,10 +15,10 @@ collapses through already-known levels by one step rule, S_n = b_n and
     S_j = P_{n-j}(b_j, S_{j+1})   for j = n-1 .. 0,   P_{n+1} = S_0,
 
 every product truncated at y-exponent < q^(n+1); as P_1 = x + y, S_{n-1} is
-the sum b_{n-1} + S_n.  Since q^j is a power of p, b_j is a Frobenius twist
-over F_p: every exponent of w_j mod p times q^j (see `ring`), with no product
-formed.  Each step is exact because S_{j+1} is divisible by y^(q^(j+1)), so
-the neglected tail S_{j+1}^(q^(n-j)) vanishes modulo y^(q^(n+1)); `extend`
+the sum b_{n-1} + S_n.  As q^j is a power of p, the ring's one power rule
+(see `ring`) makes b_j from w_j mod p, cut below ceil(q^(n+1) / q^j), by
+twists alone.  Each step is exact because S_{j+1} is divisible by y^(q^(j+1)),
+so the neglected tail S_{j+1}^(q^(n-j)) vanishes modulo y^(q^(n+1)); `extend`
 asserts at run time that y^(q^j) divides every S_j, j >= 1, not assuming it.
 
 The y-cap q^n is the engine's resource guard: `build_tower` refuses a tower

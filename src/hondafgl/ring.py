@@ -29,10 +29,11 @@ they skip those checks; their coefficients are only reduced mod p over F_p,
 and zeros dropped.
 
 Every power, in `pow` and in substitution, goes through `_powers`.  Over Z
-it forms the consecutive products self^k = self^(k-1) * self.  Over F_p it
-multiplies only inside self^0 .. self^(p-1): a p^r-th power is a Frobenius
-twist, (sum c m)^(p^r) = sum c m^(p^r) since c^p = c, so self^k is a product
-of twists, one per base-p digit of k.
+it forms the consecutive products self^k = self^(k-1) * self.  Over F_p a
+p-th power is a Frobenius twist, (sum c m)^p = sum c m^p since c^p = c, so
+one rule makes every power, from the top base-p digit of k down:
+self^k = (self^(k // p))^p * self^(k mod p).  Under a bound b the twisted
+power is made below ceil(b / p), so its twist is below b with nothing cut.
 
 Canonical term order is graded-lexicographic: ascending total degree, ties
 broken so that higher powers of earlier variables come first.  Serialization
@@ -354,44 +355,43 @@ class SparsePoly:
 
     def pow(self, exponent: int, trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """self^exponent modulo `trunc`.  Every power goes through `_powers`:
-        twists over F_p, consecutive products over Z."""
+        the p-th power rule over F_p, consecutive products over Z."""
         if not _is_int(exponent) or exponent < 0:
             raise StructuralError(f"exponent must be a non-negative int, got {shown(exponent)}")
         return self._powers(trunc)(exponent)
 
-    def _twist(self, factor: int, trunc: TruncationPolicy) -> "SparsePoly":
-        """self^factor over F_p, for a power `factor` of p, modulo `trunc`:
-        (sum c m)^factor = sum c m^factor as c^p = c, so nothing is multiplied."""
-        scaled = {tuple(k * factor for k in e): c for e, c in self.terms.items()}
-        return SparsePoly._trusted(self.variables, self.domain, scaled).truncate(trunc)
-
     def _powers(self, trunc: TruncationPolicy):
-        """The map k -> self^k modulo `trunc`, with self^0 = 1 truncated too.
-        Over F_p, the product of the twists (self^d)^(p^r) over the nonzero
-        digits d of k = sum d p^r; over Z, self^(k-1) * self.  Each
-        self^d (d < p over F_p) and each twist is made once, when first
-        needed, and sorted as a right factor once: self here, a twist when made."""
-        p, digits, twists = self.domain.p, [SparsePoly.one(self.variables, self.domain).truncate(trunc)], {}
-        right = self._by_weight(trunc)
+        """The map k -> self^k modulo `trunc`.  Each bound b keeps a chain of
+        consecutive products from self^0 = 1, truncated by `trunc` once, as no
+        bound ceil(b / p) is 0 unless b is; over Z self^k is its k-th entry.
+        Over F_p the chain stops below p, and self^k below b is the twist of
+        self^(k // p) below ceil(b / p) times self^(k mod p): k is walked down
+        to a power already made, or below p, then built up.  Self is sorted
+        once, each chain entry once as a twist's factor."""
+        p, var, chains, factors, made = self.domain.p, trunc.var, {}, {}, {}
+        rows, weights, weight, top = self._by_weight(trunc)
+        one = SparsePoly.one(self.variables, self.domain).truncate(trunc)
+
+        def chain(b, d: int) -> "SparsePoly":
+            powers = chains.setdefault(b, [one])
+            while len(powers) <= d:
+                powers.append(powers[-1]._times((rows, weights, weight, top if b is None else b)))
+            return powers[d]
 
         def power(k: int) -> "SparsePoly":
-            if p is None:
-                while len(digits) <= k:
-                    digits.append(digits[-1]._times(right))
-                return digits[k]
-            out, factor = None, 1
-            while k:
-                k, d = divmod(k, p)
-                if d:
-                    while len(digits) <= d:
-                        digits.append(digits[-1]._times(right))
-                    if (d, factor) not in twists:
-                        twist = digits[d]._twist(factor, trunc)
-                        twists[d, factor] = twist, twist._by_weight(trunc)
-                    twist, by_weight = twists[d, factor]
-                    out = twist if out is None else out._times(by_weight)
-                factor *= p
-            return digits[0] if out is None else out
+            b, walk = trunc.bound, []
+            while p and k >= p and (b, k) not in made:
+                walk.append((b, k))
+                b, k = None if b is None else -(-b // p), k // p
+            out = made[b, k] if (b, k) in made else chain(b, k)
+            for b, k in reversed(walk):
+                out = {tuple(p * i for i in e): c for e, c in out.terms.items()}
+                if k % p:
+                    if (b, k % p) not in factors:
+                        factors[b, k % p] = chain(b, k % p)._by_weight(TruncationPolicy(b, var))
+                    out = _mul_into({}, out.items(), factors[b, k % p])
+                out = made[b, k] = SparsePoly._trusted(self.variables, self.domain, out)
+            return made.pop(walk[0]) if walk else out  # only the powers on the way are kept
 
         return power
 
@@ -427,11 +427,9 @@ class SparsePoly:
 
         # img^k for every exponent k of each variable, each made once,
         # truncated, and sorted as a right factor, so every product below is
-        # truncated too
-        powers: list = []
-        for i, img in enumerate(images):
-            power = img._powers(trunc)
-            powers.append({k: power(k)._by_weight(trunc) for k in {e[i] for e in self.terms}})
+        # truncated too; each image's power map is dropped before the products
+        powers = [{k: power(k)._by_weight(trunc) for k in {e[i] for e in self.terms}}
+                  for i, power in enumerate(img._powers(trunc) for img in images)]
 
         # the last factor of each term is multiplied straight into out, scaled
         # by the term's coefficient; out is reduced once, at the end

@@ -363,8 +363,8 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):
-    # a directory, and a file under a missing directory
-    for target in (tmp_path, tmp_path / "missing" / "out.txt"):
+    # a directory, a file under a missing directory, and the empty path
+    for target in (tmp_path, tmp_path / "missing" / "out.txt", ""):
         status, out, err = run_cli(
             capsys, "compute", "--p", "2", "--s", "2", "--level", "2", "--out", str(target)
         )

@@ -523,16 +523,26 @@ def check_powers_against_repeated_mul(rng, domain, exponents):
 def test_frobenius_powers_match_repeated_mul(p):
     rng = random.Random(p)
     exponents = [0, 1, p - 1, p, p**2, p**2 + p - 1, rng.randrange(p**3)]
-    # twists past the first digit are cut by the cap, yet leave the power more than 1
+    # powers past p^2, made through bounds the cap lowers, that keep more than one term
     assert check_powers_against_repeated_mul(rng, prime_field(p), exponents)
 
 
-@pytest.mark.parametrize("domain", [INTEGERS])
-def test_powers_over_z_and_q_match_repeated_mul(domain):
+def test_powers_over_z_match_repeated_mul():
     # the exponents of the F_2 and F_3 cases: over Z a p-th power is no
     # twist, and these must come out as the plain repeated products
     rng = random.Random(41)
-    check_powers_against_repeated_mul(rng, domain, [0, 1, 2, 3, 4, 5, 8, 9, 11, rng.randrange(27)])
+    check_powers_against_repeated_mul(rng, INTEGERS, [0, 1, 2, 3, 4, 5, 8, 9, 11, rng.randrange(27)])
+
+
+def test_powers_with_over_a_thousand_digits():
+    # k has 1,110 and 1,101 base-2 digits: a power is built from them in a
+    # loop, so no recursion limit is reached, in pow or in substitution
+    f = poly(XY, F2, {(0, 0): 1, (1, 1): 1})
+    trunc = TruncationPolicy(10, "x")
+    assert f.pow(3**700, trunc) == f
+    assert f.pow(2**1100, trunc) == SparsePoly.one(XY, F2)
+    template = poly(("a",), F2, {(3**700,): 1, (2**1100,): 1})
+    assert template.substitute({"a": f}, trunc) == poly(XY, F2, {(1, 1): 1})
 
 
 # ---- elementary symmetric -----------------------------------------------------
