@@ -145,12 +145,10 @@ def build_tower(params: FglParams, level: int) -> list[TruncatedFgl]:
 def coefficient_table(f: TruncatedFgl) -> dict[int, SparsePoly]:
     """The polynomials A_l(x) with F = sum_l A_l(x) y^l, for 0 <= l < q^n."""
     guard(f.y_cap, DEFAULT_MAX_Y_CAP, f"the y-cap of level {f.level}")  # `build_tower` guards no level 1
-    x_only = ("x",)
-    fp = f.params.fp
     rows: dict[int, dict] = {l: {} for l in range(f.y_cap)}
     for (i, j), c in f.poly.terms.items():
         rows[j][(i,)] = c
-    return {l: SparsePoly(x_only, fp, rows[l]) for l in range(f.y_cap)}
+    return {l: SparsePoly(("x",), f.params.fp, rows[l]) for l in range(f.y_cap)}
 
 
 class DegreeBoundReport(NamedTuple):
@@ -174,8 +172,7 @@ class DegreeBoundReport(NamedTuple):
 def verify_degree_bound(f: TruncatedFgl) -> DegreeBoundReport:
     """Check x-exponent <= (pq)^m for every term with y-exponent < q^m, m <= n."""
     p, q = f.params.p, f.params.q
-    violations = []
-    windows = {}
+    violations, windows = [], {}
     for m in range(1, f.level + 1):
         y_bound = q**m
         x_bound = (p * q) ** m

@@ -46,8 +46,7 @@ def revert_series(f: SparsePoly, degree: int) -> SparsePoly:
         raise StructuralError("reversion expects a univariate series over Z in x")
     if f.coefficient((0,)) != 0 or f.coefficient((1,)) != 1:
         raise StructuralError(f"reversion needs f = x + O(x^2), got {f}")
-    power = f._powers(TruncationPolicy(degree))
-    return _revert([power(k).terms for k in range(degree)], degree)
+    return _revert(f._power_terms(TruncationPolicy(degree), degree), degree)
 
 
 def _revert(powers: list, degree: int) -> SparsePoly:
@@ -91,8 +90,7 @@ def oracle_fgl(params: FglParams, degree: int) -> OracleFgl:
     q = p**params.s  # q >= 2, so q^i < D needs i < log2(D)
     log = {(q**i,): p ** (q**i - i - 1) for i in range(degree.bit_length()) if q**i < degree}
     log = SparsePoly(("x",), INTEGERS, log)  # L(t) = l(pt)/p = sum_i p^(q^i - i - 1) t^(q^i)
-    power = log._powers(trunc)
-    powers = [power(j).terms for j in range(degree)]  # L^j mod t^D
+    powers = log._power_terms(trunc, degree)  # L^j mod t^D
     exp = _revert(powers, degree)
     g: dict = {}
     for j, lj in enumerate(powers):

@@ -14,13 +14,14 @@ exclusive bound on one weight, the exponent of one variable or the total
 degree, which keeps intermediate results small when working modulo y^N or
 modulo a total degree.
 
-Every product is formed by one kernel, `_mul_into`, which adds its term
-pairs straight into a term map its caller owns: a fresh map for `mul`, the
+Every product is formed by one kernel, `_mul_into`, over exponents packed
+into ints by a `_Layout`: each operation that multiplies packs its operands
+once, adds two monomials' keys for their product, and unpacks its result
+once, so `terms` is keyed by tuples outside it.  The kernel adds its term
+pairs straight into a map its caller owns: a fresh map for `mul`, the
 running sum for substitution, sigma_k itself for the elementary symmetric
-polynomials.  No product of a sum becomes a polynomial of its own, and the
-map is reduced once, when the result is made.  The right factor enters the
-kernel sorted by the truncation weight (`_by_weight`), once per factor
-however many products it enters.
+polynomials; the map is reduced once, and the right factor is sorted by the
+truncation weight once, however many products it enters.
 
 Validation happens at the boundary: the constructor checks each variable
 tuple once (and remembers it), and every exponent and coefficient it is
@@ -44,7 +45,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from operator import add, itemgetter
+from functools import partial
+from itertools import accumulate, islice
+from operator import add, and_, itemgetter, lshift
+from struct import Struct
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParameterError, StructuralError, _is_int, shown
@@ -107,9 +111,7 @@ class Domain(NamedTuple("Domain", [("kind", str), ("p", int | None)])):
         return c % self.p if self.kind == _FP else int(c)
 
     def to_json_dict(self) -> dict:
-        if self.kind == _FP:
-            return {"kind": _FP, "p": self.p}
-        return {"kind": self.kind}
+        return {"kind": _FP, "p": self.p} if self.kind == _FP else {"kind": self.kind}
 
     def __str__(self) -> str:
         return f"F_{self.p}" if self.kind == _FP else "Z"
@@ -165,20 +167,84 @@ def _grlex_sorted(exponents) -> list[Exponent]:
     return out
 
 
-def _mul_into(out: dict, left: Iterable[tuple[Exponent, int]], right: tuple, scale: int = 1) -> dict:
-    """Add scale * left * right into the term map `out`, which the caller
-    owns, and return it unreduced.  `left` is any run of (exponent,
-    coefficient) pairs; `right` is a factor from `_by_weight`, whose terms
-    ascend in the weight, so those that pass with e1 are a prefix, cut by one
-    bisection: the only truncation test.  Coefficients are accumulated
-    exactly, so the result is independent of term order."""
+def _mul_into(out: dict, left: Iterable[tuple[int, int]], right: tuple, scale: int = 1) -> dict:
+    """Add scale * left * right into the packed term map `out`, which the
+    caller owns, and return it unreduced.  `left` is any run of (key,
+    coefficient) pairs; `right`, from `_Layout.factor`, ascends in the
+    weight, so the terms that pass with e1 are a prefix, cut by one
+    bisection: the only truncation test.  Exact, so term order is free."""
     rows, weights, weight, bound = right
     for e1, c1 in left:
         c1 *= scale
         for e2, c2 in rows[: bisect_left(weights, bound - weight(e1))]:
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             out[e] = out.get(e, 0) + c1 * c2
     return out
+
+
+class _Layout:
+    """Exponent tuples packed into ints, one layout per operation.
+
+    Each variable has a field of whole bytes, and a total-degree bound adds a
+    total-degree field.  The weight's field is the lowest, read by one
+    `partial(and_, mask)`; the other variables lie above it, the last lowest,
+    so a key's big-endian bytes hold its exponents in order.  A field holds
+    its variable's degree bound in the operation, and at most 2 * (bound - 1)
+    where the bound caps it: no sum of two keys the operation forms carries.
+    Only in-bound terms are packed, as no other enters a product."""
+
+    __slots__ = ("variables", "trunc", "bound", "weight", "_weigh", "_shifts", "_total", "_size", "_unpack")
+
+    def __init__(self, variables: tuple[str, ...], trunc: TruncationPolicy, degrees: Iterable[int]):
+        if trunc.var is not None and trunc.var not in variables:
+            raise StructuralError(f"truncation variable {trunc.var!r} is not one of {variables}")
+        capped = None if trunc.var is None else variables.index(trunc.var)
+        cap = None if trunc.bound is None else max(2 * trunc.bound - 2, 0)
+        limits = {i: d if cap is None or capped not in (None, i) else min(d, cap) for i, d in enumerate(degrees)}
+        # fields lowest first: the weight's if bounded (None: total degree), then the others, last first
+        fields = ([] if cap is None else [capped]) + [i for i in reversed(range(len(variables))) if i != capped]
+        sizes = [max(1, -(-limits.get(i, cap).bit_length() // 8)) for i in fields]
+        if by_struct := max(sizes) <= 8 and capped in (None, len(variables) - 1):
+            sizes = [1 << (size - 1).bit_length() for size in sizes]  # 1, 2, 4 or 8 bytes: a struct code
+        self._size = total = sum(sizes)
+        place = dict(zip(fields, zip(accumulate(sizes, initial=0), sizes)))  # bytes below, bytes in
+        self._shifts = [8 * place[i][0] for i in range(len(variables))]
+        self.variables, self.trunc, self._total = variables, trunc, cap is not None and capped is None
+        self.bound = float("inf") if cap is None else trunc.bound
+        self.weight = partial(and_, 0 if cap is None else (1 << 8 * sizes[0]) - 1)
+        self._weigh = sum if capped is None else itemgetter(capped)
+        if by_struct:  # every field unpacked in C
+            codes = [f"{size}x" if i is None else {1: "B", 2: "H", 4: "I", 8: "Q"}[size] for i, size in zip(fields, sizes)]
+            self._unpack = Struct(">" + "".join(reversed(codes))).unpack
+        else:
+            spans = [(total - low - size, total - low) for low, size in map(place.get, range(len(variables)))]
+            self._unpack = lambda key: tuple(int.from_bytes(key[lo:hi], "big") for lo, hi in spans)
+
+    def pack(self, terms: Mapping[Exponent, int]) -> dict:
+        """The in-bound terms of a term map, keyed by their packed exponents."""
+        shifts, weigh, bound, total = self._shifts, self._weigh, self.bound, self._total
+        return {sum(map(lshift, e, shifts)) + (sum(e) if total else 0): c
+                for e, c in terms.items() if weigh(e) < bound}
+
+    def factor(self, packed: dict, bound: int | None = None) -> tuple:
+        """A packed term map as the right factor of `_mul_into` below `bound`
+        (by default the layout's): rows and weights ascending in the weight."""
+        keys = sorted(packed, key=self.weight)
+        weights = list(map(self.weight, keys))
+        return [(e, packed[e]) for e in keys], weights, self.weight, self.bound if bound is None else bound
+
+    def unpacked(self, packed: dict) -> dict:
+        """A packed term map keyed by exponent tuples, in order, in a fresh
+        map; `packed` is emptied as it goes, so the two are never both whole."""
+        out, unpack, size = {}, self._unpack, self._size
+        while packed:
+            for e in list(islice(packed, 1024)):
+                out[unpack(e.to_bytes(size, "big"))] = packed.pop(e)
+        return out
+
+    def poly(self, domain: Domain, packed: dict) -> "SparsePoly":
+        """An operation's packed result as a polynomial: reduced, unpacked."""
+        return SparsePoly._trusted(self.variables, domain, self.unpacked(_reduce(packed, domain.p)), reduced=True)
 
 
 def _add_into(out: dict, terms: Mapping[Exponent, int], p: int | None) -> dict:
@@ -199,7 +265,7 @@ def _add_into(out: dict, terms: Mapping[Exponent, int], p: int | None) -> dict:
 def _reduce(terms: dict, p: int | None) -> dict:
     """The term map `terms`, in place and in one pass: reduced mod p over F_p
     (p None otherwise), zeros dropped.  Only a coefficient outside [0, p) is
-    stored, so a map mostly reduced already hashes few keys again."""
+    stored again, so a map mostly reduced already hashes few keys."""
     if p:
         zeros = []
         for e, c in terms.items():
@@ -235,9 +301,8 @@ class SparsePoly:
                 raise StructuralError("variable set must be nonempty")
             if len(set(variables)) != len(variables):
                 raise StructuralError(f"duplicate variable in {variables}")
-            for v in variables:
-                if not _NAME_RE.fullmatch(v):
-                    raise StructuralError(f"invalid variable name {v!r}")
+            if bad := [v for v in variables if not _NAME_RE.fullmatch(v)]:
+                raise StructuralError(f"invalid variable name {bad[0]!r}")
             _CHECKED.add(variables)
         clean: dict[Exponent, int] = {}
         for e, c in (terms or {}).items():
@@ -255,11 +320,12 @@ class SparsePoly:
     def _trusted(cls, variables: tuple[str, ...], domain: Domain, terms: dict, reduced: bool = False) -> "SparsePoly":
         """A result of the ring's own arithmetic, right by construction but for
         its coefficients: `terms`, a dict no one else holds, is reduced mod p
-        in place over F_p, zeros dropped,
-        unless the caller has `reduced` them already."""
+        in place over F_p, zeros dropped, unless the caller has `reduced` it."""
         if not reduced:
             _reduce(terms, domain.p)
-        poly = cls(variables, domain)
+        poly = object.__new__(cls)  # not through __init__: nothing to check
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "domain", domain)
         object.__setattr__(poly, "terms", terms)
         return poly
 
@@ -278,8 +344,7 @@ class SparsePoly:
         variables = tuple(variables)
         if name not in variables:
             raise StructuralError(f"{name!r} is not one of {variables}")
-        e = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, domain, {e: 1})
+        return cls(variables, domain, {tuple(int(v == name) for v in variables): 1})
 
     # ---- queries -------------------------------------------------------
 
@@ -289,11 +354,7 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return (
-            self.variables == other.variables
-            and self.domain == other.domain
-            and self.terms == other.terms
-        )
+        return (self.variables, self.domain, self.terms) == (other.variables, other.domain, other.terms)
 
     __hash__ = None
 
@@ -331,66 +392,63 @@ class SparsePoly:
         c = self.domain.normalize(c)
         return SparsePoly._trusted(self.variables, self.domain, {e: v * c for e, v in self.terms.items()})
 
+    def _degrees(self) -> list[int]:
+        """The largest exponent of each variable, 0 where there is no term."""
+        return [max(column) for column in zip(*self.terms)] or [0] * len(self.variables)
+
     def mul(self, other: "SparsePoly", trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """Product with every monomial whose weight reaches `trunc`'s bound
-        dropped: its term pairs accumulate in a fresh map, through
-        `_mul_into`, which is reduced once at the end."""
+        dropped, formed packed in a fresh map, reduced and unpacked once."""
         self._check_compatible(other)
-        return self._times(other._by_weight(trunc))
-
-    def _times(self, right: tuple) -> "SparsePoly":
-        """self * the factor `right`, sorted by `_by_weight`, as a polynomial."""
-        return SparsePoly._trusted(self.variables, self.domain, _mul_into({}, self.terms.items(), right))
-
-    def _by_weight(self, trunc: TruncationPolicy) -> tuple:
-        """self as the right factor of `_mul_into` modulo `trunc`: its terms
-        ascending in the weight, their weights, the weight and the bound.
-        Made once per factor, however many products it enters."""
-        if trunc.var is not None and trunc.var not in self.variables:
-            raise StructuralError(f"truncation variable {trunc.var!r} is not one of {self.variables}")
-        weight = sum if trunc.var is None else itemgetter(self.variables.index(trunc.var))
-        rows = sorted(self.terms.items(), key=lambda t: weight(t[0]))
-        bound = float("inf") if trunc.bound is None else trunc.bound
-        return rows, [weight(e) for e, _ in rows], weight, bound
+        layout = _Layout(self.variables, trunc, map(add, self._degrees(), other._degrees()))
+        product = _mul_into({}, layout.pack(self.terms).items(), layout.factor(layout.pack(other.terms)))
+        return layout.poly(self.domain, product)
 
     def pow(self, exponent: int, trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """self^exponent modulo `trunc`.  Every power goes through `_powers`:
         the p-th power rule over F_p, consecutive products over Z."""
         if not _is_int(exponent) or exponent < 0:
             raise StructuralError(f"exponent must be a non-negative int, got {shown(exponent)}")
-        return self._powers(trunc)(exponent)
+        layout = _Layout(self.variables, trunc, [exponent * d for d in self._degrees()])
+        return layout.poly(self.domain, self._powers(layout)(exponent))
 
-    def _powers(self, trunc: TruncationPolicy):
-        """The map k -> self^k modulo `trunc`.  Each bound b keeps a chain of
-        consecutive products from self^0 = 1, truncated by `trunc` once, as no
-        bound ceil(b / p) is 0 unless b is; over Z self^k is its k-th entry.
-        Over F_p the chain stops below p, and self^k below b is the twist of
-        self^(k // p) below ceil(b / p) times self^(k mod p): k is walked down
-        to a power already made, or below p, then built up.  Self is sorted
-        once, each chain entry once as a twist's factor."""
-        p, var, chains, factors, made = self.domain.p, trunc.var, {}, {}, {}
-        rows, weights, weight, top = self._by_weight(trunc)
-        one = SparsePoly.one(self.variables, self.domain).truncate(trunc)
+    def _power_terms(self, trunc: TruncationPolicy, count: int) -> list[dict]:
+        """The term maps of self^0 .. self^(count - 1) modulo `trunc`."""
+        layout = _Layout(self.variables, trunc, [(count - 1) * d for d in self._degrees()])
+        return [layout.unpacked(packed) for packed in list(map(self._powers(layout), range(count)))]
 
-        def chain(b, d: int) -> "SparsePoly":
+    def _powers(self, layout: _Layout):
+        """The map k -> self^k packed in `layout`, for every k its degrees
+        allow.  Each bound b keeps a chain of products from self^0 = 1, cut
+        once; over Z self^k is its k-th entry.  Over F_p the chain stops below
+        p, and self^k below b is the twist of self^(k // p) below ceil(b / p)
+        (each key times p) times self^(k mod p): k is walked down to a power
+        made, or below p, then built up.  A power returned may be kept: a
+        caller that empties it takes no further power."""
+        p, chains, factors, made = self.domain.p, {}, {}, {}
+        rows, weights, weight, _ = layout.factor(layout.pack(self.terms))
+        one = layout.pack(SparsePoly.one(self.variables, self.domain).truncate(layout.trunc).terms)
+
+        def chain(b, d: int) -> dict:
             powers = chains.setdefault(b, [one])
             while len(powers) <= d:
-                powers.append(powers[-1]._times((rows, weights, weight, top if b is None else b)))
+                right = (rows, weights, weight, layout.bound if b is None else b)
+                powers.append(_reduce(_mul_into({}, powers[-1].items(), right), p))
             return powers[d]
 
-        def power(k: int) -> "SparsePoly":
-            b, walk = trunc.bound, []
+        def power(k: int) -> dict:
+            b, walk = layout.trunc.bound, []
             while p and k >= p and (b, k) not in made:
                 walk.append((b, k))
                 b, k = None if b is None else -(-b // p), k // p
             out = made[b, k] if (b, k) in made else chain(b, k)
             for b, k in reversed(walk):
-                out = {tuple(p * i for i in e): c for e, c in out.terms.items()}
+                out = {p * e: c for e, c in out.items()}
                 if k % p:
                     if (b, k % p) not in factors:
-                        factors[b, k % p] = chain(b, k % p)._by_weight(TruncationPolicy(b, var))
-                    out = _mul_into({}, out.items(), factors[b, k % p])
-                out = made[b, k] = SparsePoly._trusted(self.variables, self.domain, out)
+                        factors[b, k % p] = layout.factor(chain(b, k % p), b)
+                    out = _reduce(_mul_into({}, out.items(), factors[b, k % p]), p)
+                made[b, k] = out
             return made.pop(walk[0]) if walk else out  # only the powers on the way are kept
 
         return power
@@ -399,49 +457,44 @@ class SparsePoly:
         """The monomials `trunc` allows: the product with 1, through mul's own test."""
         return self.mul(SparsePoly.one(self.variables, self.domain), trunc)
 
-    def substitute(
-        self,
-        assignment: Mapping[str, "SparsePoly"],
-        trunc: TruncationPolicy = NO_TRUNCATION,
-    ) -> "SparsePoly":
+    def substitute(self, assignment: Mapping[str, "SparsePoly"], trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """Evaluate this polynomial at the assignment, truncating every product.
 
         The assignment must cover exactly the variables of this polynomial.
-        All images must live in one common variable set over the same domain
-        (which may differ from this polynomial's own variable set: the two
-        slots of a formal group law template get bound to polynomials in the
-        ambient variables).
+        All images live in one variable set over the same domain, which may
+        differ from this polynomial's own (the slots of a formal group law
+        template get bound to polynomials in the ambient variables).
         """
-        missing = [v for v in self.variables if v not in assignment]
-        if missing:
+        if missing := [v for v in self.variables if v not in assignment]:
             raise StructuralError(f"assignment misses variables {missing}")
-        extra = [v for v in assignment if v not in self.variables]
-        if extra:
+        if extra := [v for v in assignment if v not in self.variables]:
             raise StructuralError(f"assignment binds unknown variables {extra}")
-        images = [assignment[v] for v in self.variables]
-        first = images[0]
-        for img in images[1:]:
+        first, *others = images = [assignment[v] for v in self.variables]
+        for img in others:
             first._check_compatible(img)
         if first.domain != self.domain:
             raise StructuralError(f"image domain {first.domain} differs from template domain {self.domain}")
 
-        # img^k for every exponent k of each variable, each made once,
-        # truncated, and sorted as a right factor, so every product below is
-        # truncated too; each image's power map is dropped before the products
-        powers = [{k: power(k)._by_weight(trunc) for k in {e[i] for e in self.terms}}
-                  for i, power in enumerate(img._powers(trunc) for img in images)]
+        # one layout, by the images' degrees times the template's; img^k for
+        # each exponent k of each variable, made once, truncated and sorted as
+        # a factor; each image's power map is dropped before the products
+        degrees = [0] * len(first.variables)
+        for top, img in zip(self._degrees(), images):
+            degrees = [d + top * g for d, g in zip(degrees, img._degrees())]
+        layout = _Layout(first.variables, trunc, degrees)
+        powers = [{k: layout.factor(power(k)) for k in {e[i] for e in self.terms}}
+                  for i, power in enumerate(img._powers(layout) for img in images)]
 
         # the last factor of each term is multiplied straight into out, scaled
-        # by the term's coefficient; out is reduced once, at the end
-        out: dict[Exponent, int] = {}
-        one = SparsePoly.one(first.variables, first.domain).terms.items()
+        # by the term's coefficient; out is reduced and unpacked once, at the end
+        out: dict[int, int] = {}
         for e, c in self.terms.items():
             *head, last = [powers[i][k] for i, k in enumerate(e) if k] or [powers[0][0]]
-            term = head[0][0] if head else one
+            term = head[0][0] if head else [(0, 1)]
             for factor in head[1:]:
                 term = _reduce(_mul_into({}, term, factor), first.domain.p).items()
             _mul_into(out, term, last, c)
-        return SparsePoly._trusted(first.variables, first.domain, out)
+        return layout.poly(first.domain, out)
 
     def map_domain(self, target: Domain) -> "SparsePoly":
         """Coefficientwise image in another domain: Z -> F_p, or the identity.
@@ -456,12 +509,11 @@ class SparsePoly:
 
     def text_blocks(self) -> Iterator[str]:
         """Human-readable form, e.g. 'x^3*y + x*y^3', in canonical order, as
-        consecutive pieces of _BLOCK terms each; `to_text` is their join.
-        Only the sort and a head ' + c' or ' - c' per distinct coefficient
-        run in Python.  Each block is built by columns, all C-level maps over
-        the block: the heads, and per variable its factors '*v^k', each made
-        on first use; zipped, each term is one join.  Then a coefficient 1
-        is dropped by replacing ' + 1*' and ' - 1*': no monomial holds a space."""
+        pieces of _BLOCK terms; `to_text` is their join.  Only the sort and a
+        head ' + c' or ' - c' per distinct coefficient run in Python.  Each
+        block is built by columns of C-level maps: the heads, and per variable
+        its factors '*v^k'; zipped, each term is one join.  A coefficient 1 is
+        dropped by replacing ' + 1*' and ' - 1*': no monomial holds a space."""
         if not self.terms:
             yield "0"
             return
@@ -485,30 +537,20 @@ class SparsePoly:
         return f"SparsePoly({self.to_text()!r}, vars={self.variables}, domain={self.domain})"
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for e, c in self.sorted_terms():
-            trimmed = list(e)
-            while trimmed and trimmed[-1] == 0:
-                trimmed.pop()
-            terms.append({"e": trimmed, "c": str(c)})
-        return {
-            "vars": list(self.variables),
-            "domain": self.domain.to_json_dict(),
-            "terms": terms,
-        }
+        # each exponent without its trailing zeros
+        terms = [{"e": list(e[: max((i + 1 for i, k in enumerate(e) if k), default=0)]), "c": str(c)}
+                 for e, c in self.sorted_terms()]
+        return {"vars": list(self.variables), "domain": self.domain.to_json_dict(), "terms": terms}
 
 
-def elementary_symmetric_all(
-    values: Sequence[SparsePoly], trunc: TruncationPolicy = NO_TRUNCATION
-) -> list[SparsePoly]:
+def elementary_symmetric_all(values: Sequence[SparsePoly], trunc: TruncationPolicy = NO_TRUNCATION) -> list[SparsePoly]:
     """All sigma_0 .. sigma_m of the given polynomials (sigma_0 = 1).
 
-    Computed through the generating function prod_j (1 + z*v_j): one term
-    map per sigma_k, updated one factor at a time.  For each v, sorted once,
-    k runs from the top down, so sigma_(k-1) * v, truncated, is multiplied
-    straight into sigma_k's own map before sigma_(k-1) itself changes; each
-    map is reduced once per factor.
-    """
+    Computed through the generating function prod_j (1 + z*v_j): one packed
+    term map per sigma_k.  For each v, packed and sorted once, k runs from
+    the top down, so sigma_(k-1) * v, truncated, is added straight into
+    sigma_k's map before sigma_(k-1) changes; each map is reduced once per
+    factor, and unpacked once."""
     values = list(values)
     if not values:
         raise StructuralError("need at least one value")
@@ -516,10 +558,14 @@ def elementary_symmetric_all(
     for v in values[1:]:
         first._check_compatible(v)
     variables, domain = first.variables, first.domain
-    sig = [SparsePoly.one(variables, domain).terms]
+    layout = _Layout(variables, trunc, map(sum, zip(*(v._degrees() for v in values))))
+    sig = [{0: 1}]
     for v in values:
-        right = v._by_weight(trunc)
+        right = layout.factor(layout.pack(v.terms))
         sig.append({})
         for k in range(len(sig) - 1, 0, -1):
             _reduce(_mul_into(sig[k], sig[k - 1].items(), right), domain.p)
-    return [SparsePoly._trusted(variables, domain, t, reduced=True) for t in sig]
+    # unpacked largest first, each map emptied as it goes, to keep the peak low
+    for k in sorted(range(len(sig)), key=lambda k: -len(sig[k])):
+        sig[k] = SparsePoly._trusted(variables, domain, layout.unpacked(sig[k]), reduced=True)
+    return sig

@@ -385,6 +385,7 @@ def test_arithmetic_results_equal_their_validated_copies(domain):
                 template = random_poly(rng, names, domain, max_terms=4, max_exp=3)
                 operands += [(q, dict(q.terms)) for q in (template, *images.values())]
                 results.append(template.substitute(images, trunc))
+                results += elementary_symmetric_all([f, g, f], trunc)
                 if domain == INTEGERS:
                     results += [f.map_domain(target) for target in (F2, prime_field(5))]
                 for r in results:
@@ -543,6 +544,99 @@ def test_powers_with_over_a_thousand_digits():
     assert f.pow(2**1100, trunc) == SparsePoly.one(XY, F2)
     template = poly(("a",), F2, {(3**700,): 1, (2**1100,): 1})
     assert template.substitute({"a": f}, trunc) == poly(XY, F2, {(1, 1): 1})
+
+
+# ---- the packed kernel at its field edges -------------------------------------
+
+# Sums of exponents land on each edge E - 1 and E of a field of 1, 2, 4 and 8
+# bytes, and past 64 bits; bounds of E // 2 and E // 2 + 1 put a capped
+# field's largest sum, 2 * (bound - 1), on either side of the same edge.
+FIELD_EDGES = (256, 65_536, 2**32, 2**64, 2**70)
+EDGE_VARIABLES = (("x",), ("x", "y"), ("x", "y", "z"), tuple(f"x{i}" for i in range(1, 9)))
+
+
+def reference_mul(f, g, trunc):
+    """f * g over tuple keys, every pair tested against trunc on its own: the
+    reference for the packed kernel."""
+    weight = sum if trunc.var is None else (lambda e: e[f.variables.index(trunc.var)])
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if trunc.bound is None or weight(e) < trunc.bound:
+                out[e] = out.get(e, 0) + c1 * c2
+    return SparsePoly(f.variables, f.domain, out)
+
+
+def reference_pow(f, k, trunc):
+    """f^k by squaring and multiplying with `reference_mul`."""
+    one = SparsePoly.one(f.variables, f.domain)
+    out, square = reference_mul(one, one, trunc), f
+    while k:
+        if k & 1:
+            out = reference_mul(out, square, trunc)
+        k >>= 1
+        if k:
+            square = reference_mul(square, square, trunc)
+    return out
+
+
+def edge_poly(rng, variables, domain, exponents, terms=3):
+    return SparsePoly(variables, domain, {tuple(rng.choice(exponents) for _ in variables): rng.randint(1, 6)
+                                          for _ in range(terms)})
+
+
+def edge_policies(variables, edge):
+    half = edge // 2
+    capped = {variables[0], variables[len(variables) // 2], variables[-1]}
+    return [NO_TRUNCATION, TruncationPolicy(edge + 1), TruncationPolicy(half + 1)] + [
+        TruncationPolicy(bound, v) for bound in (half, half + 1) for v in sorted(capped)
+    ]
+
+
+@pytest.mark.parametrize("domain", [prime_field(7), INTEGERS], ids=str)
+@pytest.mark.parametrize("variables", EDGE_VARIABLES, ids=len)
+def test_packed_products_match_a_tuple_reference_at_field_edges(domain, variables):
+    rng = random.Random(f"{domain}{len(variables)}")
+    for edge in FIELD_EDGES:
+        half = edge // 2
+        for trunc in edge_policies(variables, edge):
+            # f's exponents plus g's, and f's doubled, reach edge - 2 .. edge
+            f = edge_poly(rng, variables, domain, (0, half - 1, half))
+            g = edge_poly(rng, variables, domain, (0, 1, edge - half - 1, edge - half))
+            assert f.mul(g, trunc) == reference_mul(f, g, trunc), (f, g, trunc)
+            for k in (2, 3):
+                assert f.pow(k, trunc) == reference_pow(f, k, trunc), (f, k, trunc)
+            template = edge_poly(rng, ("a", "b"), domain, (0, 1, 2), terms=4)
+            want = SparsePoly.zero(variables, domain)
+            for e, c in template.terms.items():
+                want = want + reference_mul(reference_pow(f, e[0], trunc), reference_pow(g, e[1], trunc), trunc).scale(c)
+            assert template.substitute({"a": f, "b": g}, trunc) == want, (template, f, g, trunc)
+            values = [f, g, edge_poly(rng, variables, domain, (0, half - 1, half), terms=2)]
+            sigma = elementary_symmetric_all(values, trunc)
+            assert sigma[0] == SparsePoly.one(variables, domain)
+            for k in (1, 2, 3):
+                want = SparsePoly.zero(variables, domain)
+                for chosen in combinations(values, k):
+                    term = chosen[0].truncate(trunc)
+                    for v in chosen[1:]:
+                        term = reference_mul(term, v, trunc)
+                    want = want + term
+                assert sigma[k] == want, (values, k, trunc)
+
+
+@pytest.mark.parametrize("variables", EDGE_VARIABLES, ids=len)
+def test_frobenius_powers_at_field_edges(variables):
+    # over F_2, (m + m')^E = m^E + m'^E for E a power of 2: a power whose
+    # exponents land on the edge itself, made by twists of packed keys
+    first, last = (SparsePoly.variable(variables, F2, v) for v in (variables[0], variables[-1]))
+    f = first + last if len(variables) > 1 else first + SparsePoly.one(variables, F2)
+    for edge in FIELD_EDGES:
+        for trunc in edge_policies(variables, 2 * edge):
+            for k in (edge, edge + 1):
+                assert f.pow(k, trunc) == reference_pow(f, k, trunc), (k, trunc)
+            template = poly(("a",), F2, {(edge,): 1, (edge + 1,): 1})
+            assert template.substitute({"a": f}, trunc) == reference_pow(f, edge, trunc) + reference_pow(f, edge + 1, trunc)
 
 
 # ---- elementary symmetric -----------------------------------------------------
