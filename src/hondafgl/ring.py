@@ -185,8 +185,8 @@ def _mul_into(out: dict, left: Iterable[tuple[int, int]], right: tuple, scale: i
 class _Layout:
     """Exponent tuples packed into ints, one layout per operation.
 
-    Each variable has a field of whole bytes, and a total-degree bound adds a
-    total-degree field.  The weight's field is the lowest, read by one
+    Each variable has a field of whole bytes, and a policy on no variable
+    adds a total-degree field.  The weight's field is the lowest, read by one
     `partial(and_, mask)`; the other variables lie above it, the last lowest,
     so a key's big-endian bytes hold its exponents in order.  A field holds
     its variable's degree bound in the operation, and at most 2 * (bound - 1)
@@ -199,22 +199,22 @@ class _Layout:
         if trunc.var is not None and trunc.var not in variables:
             raise StructuralError(f"truncation variable {trunc.var!r} is not one of {variables}")
         capped = None if trunc.var is None else variables.index(trunc.var)
-        cap = None if trunc.bound is None else max(2 * trunc.bound - 2, 0)
-        limits = {i: d if cap is None or capped not in (None, i) else min(d, cap) for i, d in enumerate(degrees)}
-        # fields lowest first: the weight's if bounded (None: total degree), then the others, last first
-        fields = ([] if cap is None else [capped]) + [i for i in reversed(range(len(variables))) if i != capped]
-        sizes = [max(1, -(-limits.get(i, cap).bit_length() // 8)) for i in fields]
+        self.bound = float("inf") if trunc.bound is None else trunc.bound
+        cap = max(2 * self.bound - 2, 0)
+        limits = {i: min(d, cap) if capped in (None, i) else d for i, d in enumerate(degrees)}
+        limits[None] = min(sum(limits.values()), cap)  # the total degree's
+        # fields lowest first: the weight's (None: the total degree's), then the others, last first
+        fields = [capped] + [i for i in reversed(range(len(variables))) if i != capped]
+        sizes = [max(1, -(-limits[i].bit_length() // 8)) for i in fields]
         if by_struct := max(sizes) <= 8 and capped in (None, len(variables) - 1):
-            sizes = [1 << (size - 1).bit_length() for size in sizes]  # 1, 2, 4 or 8 bytes: a struct code
+            sizes = [1 << (size - 1).bit_length() for size in sizes]  # 1, 2, 4 or 8 bytes: struct's B, H, I, Q
         self._size = total = sum(sizes)
         place = dict(zip(fields, zip(accumulate(sizes, initial=0), sizes)))  # bytes below, bytes in
         self._shifts = [8 * place[i][0] for i in range(len(variables))]
-        self.variables, self.trunc, self._total = variables, trunc, cap is not None and capped is None
-        self.bound = float("inf") if cap is None else trunc.bound
-        self.weight = partial(and_, 0 if cap is None else (1 << 8 * sizes[0]) - 1)
-        self._weigh = sum if capped is None else itemgetter(capped)
+        self.variables, self.trunc, self._total = variables, trunc, capped is None
+        self.weight, self._weigh = partial(and_, (1 << 8 * sizes[0]) - 1), sum if capped is None else itemgetter(capped)
         if by_struct:  # every field unpacked in C
-            codes = [f"{size}x" if i is None else {1: "B", 2: "H", 4: "I", 8: "Q"}[size] for i, size in zip(fields, sizes)]
+            codes = [f"{size}x" if i is None else "BHIQ"[size.bit_length() - 1] for i, size in zip(fields, sizes)]
             self._unpack = Struct(">" + "".join(reversed(codes))).unpack
         else:
             spans = [(total - low - size, total - low) for low, size in map(place.get, range(len(variables)))]
@@ -457,7 +457,7 @@ class SparsePoly:
         """The monomials `trunc` allows: the product with 1, through mul's own test."""
         return self.mul(SparsePoly.one(self.variables, self.domain), trunc)
 
-    def substitute(self, assignment: Mapping[str, "SparsePoly"], trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
+    def substitute(self, assignment: Mapping[str, SparsePoly], trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """Evaluate this polynomial at the assignment, truncating every product.
 
         The assignment must cover exactly the variables of this polynomial.
