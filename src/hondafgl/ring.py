@@ -236,9 +236,9 @@ class _Layout:
     def unpacked(self, packed: dict) -> dict:
         """A packed term map keyed by exponent tuples, in order, in a fresh
         map; `packed` is emptied as it goes, so the two are never both whole."""
-        out, unpack, size = {}, self._unpack, self._size
-        while packed:
-            for e in list(islice(packed, 1024)):
+        out, unpack, size, chunk = {}, self._unpack, self._size, max(1024, len(packed) // 8)
+        while packed:  # at most eight chunks, so the rescan of popped slots stays linear
+            for e in list(islice(packed, chunk)):
                 out[unpack(e.to_bytes(size, "big"))] = packed.pop(e)
         return out
 
