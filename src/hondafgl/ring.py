@@ -23,11 +23,10 @@ running sum for substitution, sigma_k itself for the elementary symmetric
 polynomials; the map is reduced once, and the right factor is sorted by the
 truncation weight once, however many products it enters.
 
-Validation happens at the boundary: the constructor checks each variable
-tuple once (and remembers it), and every exponent and coefficient it is
-given.  Results of the ring's own arithmetic are right by construction, so
-they skip those checks; their coefficients are only reduced mod p over F_p,
-and zeros dropped.
+Validation happens at the boundary: the constructor checks every variable
+tuple, exponent and coefficient it is given.  Results of the ring's own
+arithmetic are right by construction, so they skip those checks; their
+coefficients are only reduced mod p over F_p, and zeros dropped.
 
 Every power, in `pow` and in substitution, goes through `_powers`.  Over Z
 it forms the consecutive products self^k = self^(k-1) * self.  Over F_p a
@@ -146,7 +145,6 @@ class TruncationPolicy(NamedTuple("TruncationPolicy", [("bound", int | None), ("
 NO_TRUNCATION = TruncationPolicy()
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_CHECKED: set[tuple[str, ...]] = set()  # variable tuples already validated
 _BLOCK = 2048  # terms per block of `text_blocks`
 
 
@@ -296,14 +294,12 @@ class SparsePoly:
 
     def __init__(self, variables: Sequence[str], domain: Domain, terms: Mapping[Exponent, int] | None = None):
         variables = tuple(variables)
-        if variables not in _CHECKED:
-            if not variables:
-                raise StructuralError("variable set must be nonempty")
-            if len(set(variables)) != len(variables):
-                raise StructuralError(f"duplicate variable in {variables}")
-            if bad := [v for v in variables if not _NAME_RE.fullmatch(v)]:
-                raise StructuralError(f"invalid variable name {bad[0]!r}")
-            _CHECKED.add(variables)
+        if not variables:
+            raise StructuralError("variable set must be nonempty")
+        if len(set(variables)) != len(variables):
+            raise StructuralError(f"duplicate variable in {variables}")
+        if bad := [v for v in variables if not _NAME_RE.fullmatch(v)]:
+            raise StructuralError(f"invalid variable name {bad[0]!r}")
         clean: dict[Exponent, int] = {}
         for e, c in (terms or {}).items():
             e, c = _exponent(e, variables), domain.normalize(c)
