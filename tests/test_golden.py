@@ -2,10 +2,13 @@
 
 There are 48 golden files (GOLDEN), 5 reports of a failed check (FAILING)
 and 4 sha256 digests of outputs too large to commit (DIGESTS).
-`test_run_renders_only_the_form_it_prints` runs each of these 57 commands
-once, with the serializer of the form it does not print patched to raise
-(`text_blocks` when its argv holds `--json`, else `to_json_dict`), and
-checks its exit status, its empty stderr and its stdout.
+`frozen_run` runs each of these 57 commands once, with the serializer of
+the form it does not print patched to raise (`text_blocks` when its argv
+holds `--json`, else `to_json_dict`), and keeps the result.
+`test_run_renders_only_the_form_it_prints` checks its exit status and its
+empty stderr; `test_stdout_matches_golden`,
+`test_failed_check_report_matches_golden` and `test_stdout_matches_digest`
+check its stdout, byte for byte or by sha256.
 
 Each file under tests/golden/ is the stdout of `python -m hondafgl <argv>`:
 the first 17 entries were frozen at commit b26005e, before the CLI and the
@@ -56,8 +59,11 @@ these outputs is a change of behaviour, not a refactor: the files are not to
 be regenerated to make this test pass.
 """
 
+import functools
 import hashlib
+import io
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -170,27 +176,52 @@ def test_every_golden_file_is_listed():
     assert [argv for argv, n in commands.items() if n > 1] == []
 
 
+@functools.cache
+def frozen_run(name):
+    """Exit status, stdout and stderr of the frozen command `name`, run once.
+
+    A GOLDEN or FAILING name is a file under tests/golden/, a DIGESTS name is
+    its argv.  The serializer of the form the command does not print is
+    patched to raise, and a FAILING command's check to report one mismatch more.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if name in FAILING:
+            argv, module, attr, field, value = FAILING[name]
+            real = getattr(module, attr)
+            mp.setattr(module, attr, lambda *a: real(*a)._replace(**{field: value}))
+        else:
+            argv = GOLDEN.get(name, name)
+        other = "text_blocks" if "--json" in argv.split() else "to_json_dict"
+
+        def refuse(self):
+            raise AssertionError(f"{other} called by `fgl {argv}`")
+
+        mp.setattr(SparsePoly, other, refuse)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv.split())
+    return status, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted([*GOLDEN, *FAILING, *DIGESTS]))
-def test_run_renders_only_the_form_it_prints(name, capsys, monkeypatch):
-    if name in FAILING:
-        argv, module, attr, field, value = FAILING[name]
-        real = getattr(module, attr)
-        monkeypatch.setattr(module, attr, lambda *a: real(*a)._replace(**{field: value}))
-    else:
-        argv = GOLDEN.get(name, name)  # a DIGESTS name is its argv
-    other = "text_blocks" if "--json" in argv.split() else "to_json_dict"
-
-    def refuse(self):
-        raise AssertionError(f"{other} called by `fgl {argv}`")
-
-    monkeypatch.setattr(SparsePoly, other, refuse)
-    status = main(argv.split())
-    out, err = capsys.readouterr()
+def test_run_renders_only_the_form_it_prints(name):
+    status, _, err = frozen_run(name)
     assert (status, err) == (1 if name in FAILING else 0, "")
-    if name in DIGESTS:
-        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
-    else:
-        assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_matches_golden(name):
+    assert frozen_run(name)[1].encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_failed_check_report_matches_golden(name):
+    assert frozen_run(name)[1].encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS))
+def test_stdout_matches_digest(argv):
+    assert hashlib.sha256(frozen_run(argv)[1].encode()).hexdigest() == DIGESTS[argv]
 
 
 def test_json_out_file_matches_stdout(tmp_path, capsys):
