@@ -1,8 +1,8 @@
 """Byte-for-byte checks of `fgl` stdout against frozen golden files.
 
 There are 48 golden files (GOLDEN), 5 reports of a failed check (FAILING)
-and 4 sha256 digests of outputs too large to commit (DIGESTS).
-`frozen_run` runs each of these 57 commands once, with the serializer of
+and 5 sha256 digests of outputs too large to commit (DIGESTS).
+`frozen_run` runs each of these 58 commands once, with the serializer of
 the form it does not print patched to raise (`text_blocks` when its argv
 holds `--json`, else `to_json_dict`), and keeps the result.
 `test_run_renders_only_the_form_it_prints` checks its exit status and its
@@ -29,7 +29,8 @@ reduced only the addend's terms, the next at commit 49b9098, before
 map, and the last at commit b72cef2, before every power over F_p came from
 one rule, self^k = (self^(k // p))^p * self^(k mod p).  DIGESTS pins, by the
 sha256 of its stdout, one more command frozen at 4426354, one at 49b9098,
-one at f201360 and one at b72cef2, whose outputs are too large to commit.
+one at f201360, one at b72cef2 and one at 869e4ce, whose outputs are too
+large to commit.
 The c37dfb6 entries are the determinism commands of test_acceptance.py and
 towers deep enough to pin the ladder fold at ladder index j up to 3.  The 32d8eea entries add the forms no golden held yet and,
 in FAILING, the reports of a failed check: each reaches its exit-1 branch
@@ -54,7 +55,10 @@ the associativity check at D 129: three-variable substitutions under a
 total-degree cap, deeper than the D 17 entry.  The b72cef2 entries are the
 oracle's agreement at depth, (2,2) level 9 at D 513 and (3,2) level 6 at
 D 729, about 8 s and 3 s in process; its digest is (5,2) level 5, 1.2 MB,
-the tower whose powers that change cut most.  A change to any of
+the tower whose powers that change cut most.  The 869e4ce digest is chern
+(7,2) k 1 as JSON, 3.2 MB, frozen before ring results were printed from
+their packed keys: the one frozen output that prints a large relation set
+as JSON.  A change to any of
 these outputs is a change of behaviour, not a refactor: the files are not to
 be regenerated to make this test pass.
 """
@@ -136,12 +140,13 @@ GOLDEN = {
     "verify-p3-s2-l6-d729.txt": "verify --p 3 --s 2 --level 6 --degree 729",
 }
 
-# argv -> sha256 of its stdout, frozen at 4426354, at 49b9098, at f201360 and at b72cef2
+# argv -> sha256 of its stdout, frozen at 4426354, at 49b9098, at f201360, at b72cef2 and at 869e4ce
 DIGESTS = {
     "chern --p 7 --s 2 --k 1": "c354e454867badfe693f8cf96b8789eb97d20734b528dcdaa632df1677359ec8",
     "compute --p 3 --s 2 --level 6": "1f7536cbb63f5f0b3f2839cd18646966d9639321c33892375bc5bed7efe3ab10",
     "compute --p 2 --s 2 --level 9": "4d2560391482ac4427ab0cd645d960e73dfaf76e5b273fd80a223f914be170af",
     "compute --p 5 --s 2 --level 5": "f7322a3285f442717f934a9ed9d2c17ea7092695944b3e9e9319c56c41e026d0",
+    "chern --p 7 --s 2 --k 1 --json": "3ccc3177018cfda7b68d9df730d5377eb53152c25fc84dcf68c1a1be9efef2a3",
 }
 
 # frozen at 32d8eea; these exit 1: (argv, module, attribute, report field, value)
