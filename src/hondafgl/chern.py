@@ -72,9 +72,11 @@ def relation_set(params: FglParams, k: int) -> ChernRelationSet:
     sigma = elementary_symmetric_all([top.substitute({"x": r, "y": u}, trunc) for r in roots], trunc)
     sigma_roots = elementary_symmetric_all(roots, trunc)
     # no one else holds the sigma_i of the shifted roots, so relation_i is
-    # made in sigma_i's own term map, with no copy of it
+    # made in sigma_i's own packed term map, with sigma_i(x) packed into its
+    # layout: no sigma is copied or unpacked
+    layout = sigma[0]._packed[0]
     relations = tuple(
-        SparsePoly._trusted(variables, fp, _add_into(s.terms, (-r).terms, fp.p), reduced=True)
+        SparsePoly._trusted(variables, fp, _add_into(s._packed[1], layout.pack((-r).terms), fp.p), True, layout)
         for s, r in zip(sigma[1:], sigma_roots[1:])
     )
     return ChernRelationSet(params, k, m, n, u_cap, variables, relations)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .engine import DEFAULT_MAX_Y_CAP, FglParams, TruncatedFgl, law_p_series
 from .errors import IntegralityError, StructuralError, guard, require_int
-from .ring import INTEGERS, SparsePoly, TruncationPolicy, _grlex_sorted
+from .ring import INTEGERS, SparsePoly, TruncationPolicy
 from .witt import VARS
 
 
@@ -150,15 +150,13 @@ def compare(engine_fgl: TruncatedFgl, oracle: OracleFgl) -> CompareReport:
         )
     y_cap = engine_fgl.y_cap
     d = oracle.degree
-    keys = set(engine_fgl.poly.terms) | set(oracle.poly_mod_p.terms)
-    mismatches = []
-    for (i, j) in _grlex_sorted(keys):
-        if i + j >= d or j >= y_cap:
-            continue
-        ec = engine_fgl.poly.terms.get((i, j), 0)
-        oc = oracle.poly_mod_p.terms.get((i, j), 0)
-        if ec != oc:
-            mismatches.append((i, j, ec, oc))
+    engine_terms, oracle_terms = engine_fgl.poly.terms, oracle.poly_mod_p.terms
+    mismatches = [
+        (i, j, ec, oc)
+        for i, j in engine_terms.keys() | oracle_terms.keys()
+        if i + j < d and j < y_cap and (ec := engine_terms.get((i, j), 0)) != (oc := oracle_terms.get((i, j), 0))
+    ]
+    mismatches.sort(key=lambda m: (m[0] + m[1], -m[0]))  # graded-lex: by total degree, then higher x first
     return CompareReport(engine_fgl.params, engine_fgl.level, d, tuple(mismatches))
 
 

@@ -43,10 +43,12 @@ broken so that higher powers of earlier variables come first.  Serialization
 from __future__ import annotations
 
 import re
+import sys
+import threading
 from bisect import bisect_left
-from functools import partial
-from itertools import accumulate, islice
-from operator import add, and_, itemgetter, lshift
+from functools import lru_cache
+from itertools import accumulate, chain, islice, pairwise, repeat
+from operator import add, itemgetter, lshift, or_
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -57,6 +59,8 @@ Exponent = tuple[int, ...]
 _FP = "fp"
 _INT = "int"
 
+
+_INT_DIGIT = sys.int_info.bits_per_digit
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -145,7 +149,8 @@ class TruncationPolicy(NamedTuple("TruncationPolicy", [("bound", int | None), ("
 NO_TRUNCATION = TruncationPolicy()
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_BLOCK = 2048  # terms per block of `text_blocks`
+_BLOCK = 2048  # terms per block of `_blocks`
+_UNPACKING = threading.Lock()  # held while a packed term map is unpacked, or read whole
 
 
 def _exponent(e, variables: tuple[str, ...]) -> Exponent:
@@ -156,13 +161,6 @@ def _exponent(e, variables: tuple[str, ...]) -> Exponent:
     if any(not _is_int(k) or k < 0 for k in e):
         raise StructuralError(f"exponents must be non-negative integers, got {e}")
     return e
-
-
-def _grlex_sorted(exponents) -> list[Exponent]:
-    # ascending total degree, then higher powers of earlier variables first
-    out = sorted(exponents, reverse=True)
-    out.sort(key=sum)
-    return out
 
 
 def _mul_into(out: dict, left: Iterable[tuple[int, int]], right: tuple, scale: int = 1) -> dict:
@@ -183,15 +181,18 @@ def _mul_into(out: dict, left: Iterable[tuple[int, int]], right: tuple, scale: i
 class _Layout:
     """Exponent tuples packed into ints, one layout per operation.
 
-    Each variable has a field of whole bytes, and a policy on no variable
-    adds a total-degree field.  The weight's field is the lowest, read by one
-    `partial(and_, mask)`; the other variables lie above it, the last lowest,
-    so a key's big-endian bytes hold its exponents in order.  A field holds
-    its variable's degree bound in the operation, and at most 2 * (bound - 1)
-    where the bound caps it: no sum of two keys the operation forms carries.
-    Only in-bound terms are packed, as no other enters a product."""
+    Each variable has a field of whole bytes, in order, the first highest, so
+    a key's big-endian bytes hold its exponents in order.  The total degree
+    lies above them where it is the weight, and where it adds no int digit
+    to the longest key; canonical order is then one sort of the keys, each
+    with its variables' fields complemented (`canonical`).  The weight is read
+    from its field: one C-level call for the total degree and for a capped
+    last variable.  A field holds its variable's degree bound in the
+    operation, and at most 2 * (bound - 1) where the bound caps it: no sum of
+    two keys the operation forms carries.  Only in-bound terms are packed,
+    as no other enters a product."""
 
-    __slots__ = ("variables", "trunc", "bound", "weight", "_weigh", "_shifts", "_total", "_size", "_unpack")
+    __slots__ = ("variables", "trunc", "bound", "weight", "_weigh", "_shifts", "_low", "_graded", "_mask", "_size", "_unpack")
 
     def __init__(self, variables: tuple[str, ...], trunc: TruncationPolicy, degrees: Iterable[int]):
         if trunc.var is not None and trunc.var not in variables:
@@ -199,30 +200,46 @@ class _Layout:
         capped = None if trunc.var is None else variables.index(trunc.var)
         self.bound = float("inf") if trunc.bound is None else trunc.bound
         cap = max(2 * self.bound - 2, 0)
-        limits = {i: min(d, cap) if capped in (None, i) else d for i, d in enumerate(degrees)}
-        limits[None] = min(sum(limits.values()), cap)  # the total degree's
-        # fields lowest first: the weight's (None: the total degree's), then the others, last first
-        fields = [capped] + [i for i in reversed(range(len(variables))) if i != capped]
-        sizes = [max(1, -(-limits[i].bit_length() // 8)) for i in fields]
-        if by_struct := max(sizes) <= 8 and capped in (None, len(variables) - 1):
+        limits = [min(d, cap) if capped in (None, i) else d for i, d in enumerate(degrees)]
+        sizes = [max(1, -(-limit.bit_length() // 8)) for limit in limits]
+        if by_struct := max(sizes) <= 8:
             sizes = [1 << (size - 1).bit_length() for size in sizes]  # 1, 2, 4 or 8 bytes: struct's B, H, I, Q
-        self._size = total = sum(sizes)
-        place = dict(zip(fields, zip(accumulate(sizes, initial=0), sizes)))  # bytes below, bytes in
-        self._shifts = [8 * place[i][0] for i in range(len(variables))]
-        self.variables, self.trunc, self._total = variables, trunc, capped is None
-        self.weight, self._weigh = partial(and_, (1 << 8 * sizes[0]) - 1), sum if capped is None else itemgetter(capped)
-        if by_struct:  # every field unpacked in C
-            codes = [f"{size}x" if i is None else "BHIQ"[size.bit_length() - 1] for i, size in zip(fields, sizes)]
-            self._unpack = Struct(">" + "".join(reversed(codes))).unpack
+        places = list(accumulate(reversed(sizes), initial=0))  # bytes below each field, the last first
+        low, digit = 8 * places[-1], _INT_DIGIT
+        top = max(1, -(-(sum(limits) if capped is not None else min(sum(limits), cap)).bit_length() // 8))
+        if capped is not None and -(-low // digit) < -(-(low + 8 * top) // digit):
+            top = 0  # no degree field where it would lengthen the longest key by an int digit
+        self.variables, self.trunc, self._size = variables, trunc, top + places[-1]
+        self._shifts, self._low, self._graded, self._mask = [8 * b for b in places[-2::-1]], low, top > 0, (1 << low) - 1
+        if capped is None:
+            self.weight, self._weigh = low.__rrshift__, sum
         else:
-            spans = [(total - low - size, total - low) for low, size in map(place.get, range(len(variables)))]
+            shift, mask = self._shifts[capped], (1 << 8 * sizes[capped]) - 1
+            self.weight = mask.__and__ if not shift else lambda key: key >> shift & mask
+            self._weigh = itemgetter(capped)
+        if by_struct:  # every field unpacked in C
+            self._unpack = Struct(f">{top}x" + "".join("BHIQ"[size.bit_length() - 1] for size in sizes)).unpack
+        else:
+            spans = list(pairwise(accumulate(sizes, initial=top)))
             self._unpack = lambda key: tuple(int.from_bytes(key[lo:hi], "big") for lo, hi in spans)
 
     def pack(self, terms: Mapping[Exponent, int]) -> dict:
         """The in-bound terms of a term map, keyed by their packed exponents."""
-        shifts, weigh, bound, total = self._shifts, self._weigh, self.bound, self._total
-        return {sum(map(lshift, e, shifts)) + (sum(e) if total else 0): c
-                for e, c in terms.items() if weigh(e) < bound}
+        shifts, low, weigh, bound = self._shifts, self._low, self._weigh, self.bound
+        if self._graded:
+            return {sum(map(lshift, e, shifts)) + (sum(e) << low): c for e, c in terms.items() if weigh(e) < bound}
+        return {sum(map(lshift, e, shifts)): c for e, c in terms.items() if weigh(e) < bound}
+
+    def canonical(self, keys: Iterable[int]) -> list[int]:
+        """Packed keys in canonical order, by one sort of ints: each key with
+        its variables' fields complemented, below its total degree, which is
+        read from the key's own field or, where it has none, summed."""
+        flip = self._mask.__xor__
+        if self._graded:
+            return sorted(keys, key=flip)
+        degrees = map(sum, self.exponents(keys))
+        graded = sorted(map(or_, map(lshift, degrees, repeat(self._low)), map(flip, keys)))
+        return list(map(flip, map(self._mask.__and__, graded)))
 
     def factor(self, packed: dict, bound: int | None = None) -> tuple:
         """A packed term map as the right factor of `_mul_into` below `bound`
@@ -230,6 +247,10 @@ class _Layout:
         keys = sorted(packed, key=self.weight)
         weights = list(map(self.weight, keys))
         return [(e, packed[e]) for e in keys], weights, self.weight, self.bound if bound is None else bound
+
+    def exponents(self, keys: Iterable[int]) -> Iterator[Exponent]:
+        """The exponent tuples of packed keys, in their order."""
+        return map(self._unpack, map(int.to_bytes, keys, repeat(self._size), repeat("big")))
 
     def unpacked(self, packed: dict) -> dict:
         """A packed term map keyed by exponent tuples, in order, in a fresh
@@ -241,8 +262,15 @@ class _Layout:
         return out
 
     def poly(self, domain: Domain, packed: dict) -> "SparsePoly":
-        """An operation's packed result as a polynomial: reduced, unpacked."""
-        return SparsePoly._trusted(self.variables, domain, self.unpacked(_reduce(packed, domain.p)), reduced=True)
+        """An operation's packed result as a polynomial, reduced, still packed."""
+        return SparsePoly._trusted(self.variables, domain, packed, layout=self)
+
+
+@lru_cache(maxsize=256)
+def _print_layout(variables: tuple[str, ...], bits: int) -> _Layout:
+    """A layout for printing terms made outside any layout: each field holds
+    `bits` bits, the exponents' largest."""
+    return _Layout(variables, NO_TRUNCATION, [(1 << bits) - 1] * len(variables))
 
 
 def _add_into(out: dict, terms: Mapping[Exponent, int], p: int | None) -> dict:
@@ -288,9 +316,13 @@ class _Factors(dict):
 
 
 class SparsePoly:
-    """A sparse multivariate polynomial over a fixed domain and variable set."""
+    """A sparse multivariate polynomial over a fixed domain and variable set.
 
-    __slots__ = ("variables", "domain", "terms")
+    A result of the ring's products keeps its packed term map and the layout
+    that made it; `terms` unpacks it the first time it is read, and keeps the
+    tuple map after that.  The printed forms read packed keys."""
+
+    __slots__ = ("variables", "domain", "_terms", "_packed")
 
     def __init__(self, variables: Sequence[str], domain: Domain, terms: Mapping[Exponent, int] | None = None):
         variables = tuple(variables)
@@ -307,23 +339,40 @@ class SparsePoly:
                 clean[e] = c
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
 
     @classmethod
-    def _trusted(cls, variables: tuple[str, ...], domain: Domain, terms: dict, reduced: bool = False) -> "SparsePoly":
+    def _trusted(cls, variables: tuple[str, ...], domain: Domain, terms: dict, reduced: bool = False,
+                 layout: _Layout | None = None) -> "SparsePoly":
         """A result of the ring's own arithmetic, right by construction but for
         its coefficients: `terms`, a dict no one else holds, is reduced mod p
-        in place over F_p, zeros dropped, unless the caller has `reduced` it."""
+        in place over F_p, zeros dropped, unless the caller has `reduced` it.
+        With a `layout`, `terms` is keyed by that layout's packed keys."""
         if not reduced:
             _reduce(terms, domain.p)
         poly = object.__new__(cls)  # not through __init__: nothing to check
         object.__setattr__(poly, "variables", variables)
         object.__setattr__(poly, "domain", domain)
-        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_terms", terms if layout is None else None)
+        object.__setattr__(poly, "_packed", None if layout is None else (layout, terms))
         return poly
+
+    @property
+    def terms(self) -> dict[Exponent, int]:
+        """The term map keyed by exponent tuples.  A result still packed is
+        unpacked the first time, under `_UNPACKING`, so no other thread sees
+        its packed map half emptied, and the packed map is dropped."""
+        if self._packed is not None:
+            with _UNPACKING:
+                if self._packed is not None:  # not unpacked while this thread waited
+                    layout, packed = self._packed
+                    object.__setattr__(self, "_terms", layout.unpacked(packed))
+                    object.__setattr__(self, "_packed", None)
+        return self._terms
 
     # ---- constructors -------------------------------------------------
 
@@ -345,7 +394,8 @@ class SparsePoly:
     # ---- queries -------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        with _UNPACKING:
+            return bool(self._terms if self._packed is None else self._packed[1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
@@ -361,7 +411,23 @@ class SparsePoly:
 
     def sorted_terms(self) -> list[tuple[Exponent, int]]:
         """Terms in canonical graded-lex order."""
-        return [(e, self.terms[e]) for e in _grlex_sorted(self.terms)]
+        return list(chain.from_iterable(zip(*block) for block in self._blocks()))
+
+    def _blocks(self) -> Iterator[tuple[list[Exponent], list[int]]]:
+        """The terms in canonical order, in blocks of _BLOCK exponent tuples
+        and their coefficients.  The keys are sorted as ints, and only one
+        block's are unpacked at a time; terms already unpacked are packed in
+        their layout, or a fresh one, for the sort."""
+        with _UNPACKING:  # the packed map read whole, not while another thread unpacks it
+            if self._packed is None:
+                layout = _print_layout(self.variables, max(map(max, self._terms), default=0).bit_length())
+                packed = layout.pack(self._terms)
+            else:
+                layout, packed = self._packed
+            keys = layout.canonical(packed)
+            coefficients = list(map(packed.__getitem__, keys))
+        for start in range(0, len(keys), _BLOCK):
+            yield list(layout.exponents(keys[start : start + _BLOCK])), coefficients[start : start + _BLOCK]
 
     # ---- arithmetic ----------------------------------------------------
 
@@ -505,23 +571,23 @@ class SparsePoly:
 
     def text_blocks(self) -> Iterator[str]:
         """Human-readable form, e.g. 'x^3*y + x*y^3', in canonical order, as
-        pieces of _BLOCK terms; `to_text` is their join.  Only the sort and a
-        head ' + c' or ' - c' per distinct coefficient run in Python.  Each
+        pieces of _BLOCK terms (`_blocks`); `to_text` is their join.  Only a
+        head ' + c' or ' - c' per distinct coefficient runs in Python.  Each
         block is built by columns of C-level maps: the heads, and per variable
         its factors '*v^k'; zipped, each term is one join.  A coefficient 1 is
         dropped by replacing ' + 1*' and ' - 1*': no monomial holds a space."""
-        if not self.terms:
-            yield "0"
-            return
-        terms, order = self.terms, _grlex_sorted(self.terms)
-        heads = {c: f" - {-c}" if c < 0 else f" + {c}" for c in set(terms.values())}
+        heads: dict[int, str] = {}
         factors = [_Factors({0: "", 1: f"*{v}"}) for v in self.variables]
-        for start in range(0, len(order), _BLOCK):
-            chunk = order[start : start + _BLOCK]
-            columns = [map(f.__getitem__, map(itemgetter(i), chunk)) for i, f in enumerate(factors)]
-            text = "".join(map("".join, zip(map(heads.__getitem__, map(terms.__getitem__, chunk)), *columns)))
+        first = True
+        for exponents, coefficients in self._blocks():
+            heads.update((c, f" - {-c}" if c < 0 else f" + {c}") for c in set(coefficients) - heads.keys())
+            columns = [map(f.__getitem__, map(itemgetter(i), exponents)) for i, f in enumerate(factors)]
+            text = "".join(map("".join, zip(map(heads.__getitem__, coefficients), *columns)))
             text = text.replace(" + 1*", " + ").replace(" - 1*", " - ")
-            yield text if start else text[3:] if text[1] == "+" else "-" + text[3:]
+            yield text if not first else text[3:] if text[1] == "+" else "-" + text[3:]
+            first = False
+        if first:
+            yield "0"
 
     def to_text(self) -> str:
         return "".join(self.text_blocks())
@@ -535,18 +601,19 @@ class SparsePoly:
     def to_json_dict(self) -> dict:
         # each exponent without its trailing zeros
         terms = [{"e": list(e[: max((i + 1 for i, k in enumerate(e) if k), default=0)]), "c": str(c)}
-                 for e, c in self.sorted_terms()]
+                 for exponents, coefficients in self._blocks() for e, c in zip(exponents, coefficients)]
         return {"vars": list(self.variables), "domain": self.domain.to_json_dict(), "terms": terms}
 
 
 def elementary_symmetric_all(values: Sequence[SparsePoly], trunc: TruncationPolicy = NO_TRUNCATION) -> list[SparsePoly]:
-    """All sigma_0 .. sigma_m of the given polynomials (sigma_0 = 1).
+    """All sigma_0 .. sigma_m of the given polynomials (sigma_0 = 1 truncated:
+    0 under a bound 0).
 
     Computed through the generating function prod_j (1 + z*v_j): one packed
-    term map per sigma_k.  For each v, packed and sorted once, k runs from
-    the top down, so sigma_(k-1) * v, truncated, is added straight into
-    sigma_k's map before sigma_(k-1) changes; each map is reduced once per
-    factor, and unpacked once."""
+    term map per sigma_k, in one layout.  For each v, packed and sorted once,
+    k runs from the top down, so sigma_(k-1) * v, truncated, is added
+    straight into sigma_k's map before sigma_(k-1) changes; each map is
+    reduced once per factor, and the sigmas are returned packed."""
     values = list(values)
     if not values:
         raise StructuralError("need at least one value")
@@ -555,13 +622,10 @@ def elementary_symmetric_all(values: Sequence[SparsePoly], trunc: TruncationPoli
         first._check_compatible(v)
     variables, domain = first.variables, first.domain
     layout = _Layout(variables, trunc, map(sum, zip(*(v._degrees() for v in values))))
-    sig = [{0: 1}]
+    sig = [layout.pack({(0,) * len(variables): 1})]
     for v in values:
         right = layout.factor(layout.pack(v.terms))
         sig.append({})
         for k in range(len(sig) - 1, 0, -1):
             _reduce(_mul_into(sig[k], sig[k - 1].items(), right), domain.p)
-    # unpacked largest first, each map emptied as it goes, to keep the peak low
-    for k in sorted(range(len(sig)), key=lambda k: -len(sig[k])):
-        sig[k] = SparsePoly._trusted(variables, domain, layout.unpacked(sig[k]), reduced=True)
-    return sig
+    return [SparsePoly._trusted(variables, domain, s, reduced=True, layout=layout) for s in sig]

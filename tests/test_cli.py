@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -461,3 +463,19 @@ def test_text_output_is_written_block_by_block(monkeypatch):
     assert main(["chern", "--p", "7", "--s", "2", "--k", "1"]) == 0
     assert sum(writes) == 2_691_582
     assert max(writes) <= block < line
+
+
+def test_chern_output_peak_memory():
+    # the relations stay packed from the sigma maps to stdout, and are printed
+    # a block of sorted keys at a time, so no map keyed by exponent tuples is
+    # built: about 9.5 MiB under Python 3.10 to 3.13, against 13.8 to 14.2 MiB
+    # when each sigma was unpacked and its tuples sorted for printing
+    with open(os.devnull, "w") as devnull, redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            status = main(["chern", "--p", "7", "--s", "2", "--k", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert status == 0
+    assert peak < 11 * 2**20

@@ -1,6 +1,8 @@
 import json
 import random
 import re
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -581,6 +583,22 @@ def reference_pow(f, k, trunc):
     return out
 
 
+def grlex(terms):
+    """The terms in graded-lex order, sorted as tuples: ascending total
+    degree, then higher powers of earlier variables first."""
+    return sorted(terms.items(), key=lambda t: (sum(t[0]), [-k for k in t[0]]))
+
+
+def assert_prints_as(result, want):
+    """`result`, read while still packed, prints as a polynomial built from
+    want's terms prints, and its terms come in graded-lex order."""
+    assert result._packed is not None, "printed after its terms were read"
+    forms = result.to_text(), result.to_json_dict(), result.sorted_terms()
+    fresh = SparsePoly(want.variables, want.domain, want.terms)
+    assert forms == (fresh.to_text(), fresh.to_json_dict(), fresh.sorted_terms())
+    assert forms[2] == grlex(want.terms)
+
+
 def edge_poly(rng, variables, domain, exponents, terms=3):
     return SparsePoly(variables, domain, {tuple(rng.choice(exponents) for _ in variables): rng.randint(1, 6)
                                           for _ in range(terms)})
@@ -602,18 +620,26 @@ def test_packed_products_match_a_tuple_reference_at_field_edges(domain, variable
         half = edge // 2
         for trunc in edge_policies(variables, edge):
             # f's exponents plus g's, and f's doubled, reach edge - 2 .. edge
+            # each result is printed while still packed, then compared
             f = edge_poly(rng, variables, domain, (0, half - 1, half))
             g = edge_poly(rng, variables, domain, (0, 1, edge - half - 1, edge - half))
-            assert f.mul(g, trunc) == reference_mul(f, g, trunc), (f, g, trunc)
+            product, want = f.mul(g, trunc), reference_mul(f, g, trunc)
+            assert_prints_as(product, want)
+            assert product == want, (f, g, trunc)
             for k in (2, 3):
-                assert f.pow(k, trunc) == reference_pow(f, k, trunc), (f, k, trunc)
+                power, want = f.pow(k, trunc), reference_pow(f, k, trunc)
+                assert_prints_as(power, want)
+                assert power == want, (f, k, trunc)
             template = edge_poly(rng, ("a", "b"), domain, (0, 1, 2), terms=4)
             want = SparsePoly.zero(variables, domain)
             for e, c in template.terms.items():
                 want = want + reference_mul(reference_pow(f, e[0], trunc), reference_pow(g, e[1], trunc), trunc).scale(c)
-            assert template.substitute({"a": f, "b": g}, trunc) == want, (template, f, g, trunc)
+            image = template.substitute({"a": f, "b": g}, trunc)
+            assert_prints_as(image, want)
+            assert image == want, (template, f, g, trunc)
             values = [f, g, edge_poly(rng, variables, domain, (0, half - 1, half), terms=2)]
             sigma = elementary_symmetric_all(values, trunc)
+            assert_prints_as(sigma[0], SparsePoly.one(variables, domain))
             assert sigma[0] == SparsePoly.one(variables, domain)
             for k in (1, 2, 3):
                 want = SparsePoly.zero(variables, domain)
@@ -622,7 +648,44 @@ def test_packed_products_match_a_tuple_reference_at_field_edges(domain, variable
                     for v in chosen[1:]:
                         term = reference_mul(term, v, trunc)
                     want = want + term
+                assert_prints_as(sigma[k], want)
                 assert sigma[k] == want, (values, k, trunc)
+
+
+def test_packed_results_print_in_graded_lex_order():
+    # (x + y + z)^3 under a bound on each variable, on the total degree and
+    # none: a key's order as an int is not graded-lex order when the capped
+    # variable is not the last, nor when the key holds no total degree
+    variables = ("x", "y", "z")
+    s = sum((SparsePoly.variable(variables, F3, v) for v in variables[1:]), SparsePoly.variable(variables, F3, "x"))
+    for trunc in [NO_TRUNCATION, TruncationPolicy(3)] + [TruncationPolicy(3, v) for v in variables]:
+        cube = s.pow(3, trunc)
+        want = reference_pow(s, 3, trunc)
+        assert_prints_as(cube, want)
+        assert cube == want, trunc
+
+
+def test_packed_result_is_read_whole_by_every_thread():
+    # two threads unpack one packed result while two print it: each sees
+    # every term, as no thread reads the packed map while another empties it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    variables = ("x", "y", "z")
+    s = poly(variables, prime_field(7), {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3, (0, 0, 0): 1})
+    want = s.pow(24)
+    text, terms = want.to_text(), dict(want.terms)
+    try:
+        for _ in range(20):
+            shared, seen = s.pow(24), []
+            readers = [lambda: seen.append(dict(shared.terms)), lambda: seen.append(shared.to_text())] * 2
+            threads = [threading.Thread(target=read) for read in readers]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert sorted(map(str, seen)) == sorted(map(str, [terms, text] * 2))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("variables", EDGE_VARIABLES, ids=len)
@@ -676,6 +739,19 @@ def test_sigma_all_match_their_definition(domain):
                     expected = expected + product
                 assert sigma == expected, (trunc, m, k)
                 assert_canonical(sigma)
+
+
+def test_sigma_zero_is_the_truncated_one():
+    # under a bound 0 nothing survives, sigma_0 = 1 included, as in
+    # truncate, pow(0) and substitute: every sigma is a fixed point of its policy
+    x, y = (SparsePoly.variable(XY, F2, v) for v in XY)
+    template = poly(("a",), F2, {(0,): 1})
+    for trunc in (TruncationPolicy(0, "y"), TruncationPolicy(0), TruncationPolicy(1, "y"), NO_TRUNCATION):
+        one = SparsePoly.one(XY, F2).truncate(trunc)
+        sigma = elementary_symmetric_all([x, y], trunc)
+        assert sigma[0] == one == x.pow(0, trunc) == template.substitute({"a": x}, trunc), trunc
+        assert [s.truncate(trunc) for s in sigma] == sigma, trunc
+    assert elementary_symmetric_all([x, y], TruncationPolicy(0, "y"))[0].to_text() == "0"
 
 
 def test_sigma_all_equal_degenerate():
