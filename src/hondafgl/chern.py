@@ -22,7 +22,7 @@ from typing import NamedTuple
 # p_series is imported only for perfbench/spans.py, which patches chern.p_series
 from .engine import FglParams, _require_recursion_height, build_tower, p_series
 from .errors import guard, require_int
-from .ring import SparsePoly, TruncationPolicy, _add_into, elementary_symmetric_all
+from .ring import SparsePoly, TruncationPolicy, elementary_symmetric_all
 
 DEFAULT_MAX_TERMS = 10**7
 
@@ -72,11 +72,6 @@ def relation_set(params: FglParams, k: int) -> ChernRelationSet:
     sigma = elementary_symmetric_all([top.substitute({"x": r, "y": u}, trunc) for r in roots], trunc)
     sigma_roots = elementary_symmetric_all(roots, trunc)
     # no one else holds the sigma_i of the shifted roots, so relation_i is
-    # made in sigma_i's own packed term map, with sigma_i(x) packed into its
-    # layout: no sigma is copied or unpacked
-    layout = sigma[0]._packed[0]
-    relations = tuple(
-        SparsePoly._trusted(variables, fp, _add_into(s._packed[1], layout.pack((-r).terms), fp.p), True, layout)
-        for s, r in zip(sigma[1:], sigma_roots[1:])
-    )
+    # made in sigma_i's own packed term map: no sigma is copied or unpacked
+    relations = tuple(s._subtract_in_place(r) for s, r in zip(sigma[1:], sigma_roots[1:]))
     return ChernRelationSet(params, k, m, n, u_cap, variables, relations)

@@ -16,12 +16,13 @@ modulo a total degree.
 
 Every product is formed by one kernel, `_mul_into`, over exponents packed
 into ints by a `_Layout`: each operation that multiplies packs its operands
-once, adds two monomials' keys for their product, and unpacks its result
-once, so `terms` is keyed by tuples outside it.  The kernel adds its term
-pairs straight into a map its caller owns: a fresh map for `mul`, the
-running sum for substitution, sigma_k itself for the elementary symmetric
-polynomials; the map is reduced once, and the right factor is sorted by the
-truncation weight once, however many products it enters.
+once and adds two monomials' keys for their product.  Its result stays
+packed until its `terms`, keyed by tuples, is read, and is printed from its
+packed keys.  The kernel adds its term pairs straight into a map its caller
+owns: a fresh map for `mul`, the running sum for substitution, sigma_k
+itself for the elementary symmetric polynomials; the map is reduced once,
+and the right factor is sorted by the truncation weight once, however many
+products it enters.
 
 Validation happens at the boundary: the constructor checks every variable
 tuple, exponent and coefficient it is given.  Results of the ring's own
@@ -59,8 +60,6 @@ Exponent = tuple[int, ...]
 _FP = "fp"
 _INT = "int"
 
-
-_INT_DIGIT = sys.int_info.bits_per_digit
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -151,6 +150,7 @@ NO_TRUNCATION = TruncationPolicy()
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _BLOCK = 2048  # terms per block of `_blocks`
 _UNPACKING = threading.Lock()  # held while a packed term map is unpacked, or read whole
+_INT_DIGIT = sys.int_info.bits_per_digit  # bits per digit of an int
 
 
 def _exponent(e, variables: tuple[str, ...]) -> Exponent:
@@ -415,9 +415,9 @@ class SparsePoly:
 
     def _blocks(self) -> Iterator[tuple[list[Exponent], list[int]]]:
         """The terms in canonical order, in blocks of _BLOCK exponent tuples
-        and their coefficients.  The keys are sorted as ints, and only one
-        block's are unpacked at a time; terms already unpacked are packed in
-        their layout, or a fresh one, for the sort."""
+        and their coefficients.  The packed keys are sorted as ints, and only
+        one block's are unpacked at a time; terms keyed by tuples are packed
+        in a layout for printing first."""
         with _UNPACKING:  # the packed map read whole, not while another thread unpacks it
             if self._packed is None:
                 layout = _print_layout(self.variables, max(map(max, self._terms), default=0).bit_length())
@@ -444,6 +444,14 @@ class SparsePoly:
         out = _add_into(dict(self.terms), other.terms, self.domain.p)
         return SparsePoly._trusted(self.variables, self.domain, out, reduced=True)
 
+    def _subtract_in_place(self, other: "SparsePoly") -> "SparsePoly":
+        """self - other, made in self's packed term map with other packed into
+        its layout: for a packed result that no one else holds."""
+        self._check_compatible(other)
+        layout, packed = self._packed
+        _add_into(packed, layout.pack((-other).terms), self.domain.p)
+        return SparsePoly._trusted(self.variables, self.domain, packed, reduced=True, layout=layout)
+
     def __neg__(self) -> "SparsePoly":
         return SparsePoly._trusted(self.variables, self.domain, {e: -c for e, c in self.terms.items()})
 
@@ -460,7 +468,7 @@ class SparsePoly:
 
     def mul(self, other: "SparsePoly", trunc: TruncationPolicy = NO_TRUNCATION) -> "SparsePoly":
         """Product with every monomial whose weight reaches `trunc`'s bound
-        dropped, formed packed in a fresh map, reduced and unpacked once."""
+        dropped, formed packed in a fresh map and reduced once."""
         self._check_compatible(other)
         layout = _Layout(self.variables, trunc, map(add, self._degrees(), other._degrees()))
         product = _mul_into({}, layout.pack(self.terms).items(), layout.factor(layout.pack(other.terms)))
