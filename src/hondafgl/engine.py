@@ -171,13 +171,13 @@ class DegreeBoundReport(NamedTuple):
 
 def verify_degree_bound(f: TruncatedFgl) -> DegreeBoundReport:
     """Check x-exponent <= (pq)^m for every term with y-exponent < q^m, m <= n."""
-    p, q = f.params.p, f.params.q
+    p, q, terms = f.params.p, f.params.q, f.poly.terms  # read once: each read of a packed result unpacks it
     violations, windows = [], {}
     for m in range(1, f.level + 1):
         y_bound = q**m
         x_bound = (p * q) ** m
         seen = 0
-        for (i, j) in f.poly.terms:
+        for (i, j) in terms:
             if j < y_bound:
                 seen = max(seen, i)
                 if i > x_bound:

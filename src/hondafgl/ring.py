@@ -6,23 +6,23 @@ plain ints; prime-field residues are kept canonical in [0, p).
 Zero coefficients are never stored, so equality of term maps is equality of
 polynomials.
 
-Every operation is a pure function returning a new polynomial; instances are
-treated as immutable and are safe to share across threads.  Products (and
-everything built on products: powers, substitution, elementary symmetric
-polynomials) can be truncated on the fly by a `TruncationPolicy`: one
-exclusive bound on one weight, the exponent of one variable or the total
-degree, which keeps intermediate results small when working modulo y^N or
-modulo a total degree.
+Every operation is a pure function returning a new polynomial; instances
+are immutable, each with one term map fixed when it is made, and safe to
+share across threads.  Products (and everything built on products: powers,
+substitution, elementary symmetric polynomials) can be truncated on the
+fly by a `TruncationPolicy`: one exclusive bound on one weight, the
+exponent of one variable or the total degree, which keeps intermediate
+results small when working modulo y^N or modulo a total degree.
 
 Every product is formed by one kernel, `_mul_into`, over exponents packed
 into ints by a `_Layout`: each operation that multiplies packs its operands
-once and adds two monomials' keys for their product.  Its result stays
-packed until its `terms`, keyed by tuples, is read, and is printed from its
-packed keys.  The kernel adds its term pairs straight into a map its caller
-owns: a fresh map for `mul`, the running sum for substitution, sigma_k
-itself for the elementary symmetric polynomials; the map is reduced once,
-and the right factor is sorted by the truncation weight once, however many
-products it enters.
+once and adds two monomials' keys for their product.  Its result keeps
+those keys, with the layout that made them: it is printed from them, and
+each read of its `terms` unpacks a fresh map.  The kernel adds its term
+pairs straight into a map its caller owns: a fresh map for `mul`, the
+running sum for substitution, sigma_k itself for the elementary symmetric
+polynomials; the map is reduced once, and the right factor is sorted by
+the truncation weight once, however many products it enters.
 
 Validation happens at the boundary: the constructor checks every variable
 tuple, exponent and coefficient it is given.  Results of the ring's own
@@ -45,10 +45,9 @@ from __future__ import annotations
 
 import re
 import sys
-import threading
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, chain, islice, pairwise, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from operator import add, itemgetter, lshift, or_
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -149,7 +148,6 @@ NO_TRUNCATION = TruncationPolicy()
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _BLOCK = 2048  # terms per block of `_blocks`
-_UNPACKING = threading.Lock()  # held while a packed term map is unpacked, or read whole
 _INT_DIGIT = sys.int_info.bits_per_digit  # bits per digit of an int
 
 
@@ -253,16 +251,11 @@ class _Layout:
         return map(self._unpack, map(int.to_bytes, keys, repeat(self._size), repeat("big")))
 
     def unpacked(self, packed: dict) -> dict:
-        """A packed term map keyed by exponent tuples, in order, in a fresh
-        map; `packed` is emptied as it goes, so the two are never both whole."""
-        out, unpack, size, chunk = {}, self._unpack, self._size, max(1024, len(packed) // 8)
-        while packed:  # at most eight chunks, so the rescan of popped slots stays linear
-            for e in list(islice(packed, chunk)):
-                out[unpack(e.to_bytes(size, "big"))] = packed.pop(e)
-        return out
+        """A packed term map keyed by exponent tuples, in order, in a fresh map."""
+        return dict(zip(self.exponents(packed), packed.values()))
 
     def poly(self, domain: Domain, packed: dict) -> "SparsePoly":
-        """An operation's packed result as a polynomial, reduced, still packed."""
+        """An operation's packed result as a polynomial in this layout, reduced."""
         return SparsePoly._trusted(self.variables, domain, packed, layout=self)
 
 
@@ -318,11 +311,12 @@ class _Factors(dict):
 class SparsePoly:
     """A sparse multivariate polynomial over a fixed domain and variable set.
 
-    A result of the ring's products keeps its packed term map and the layout
-    that made it; `terms` unpacks it the first time it is read, and keeps the
-    tuple map after that.  The printed forms read packed keys."""
+    It holds one term map, fixed at construction: keyed by exponent tuples
+    where its `_layout` is None, and otherwise, for a result of the ring's
+    products, by the packed keys of the `_Layout` that made it.  The printed
+    forms read packed keys."""
 
-    __slots__ = ("variables", "domain", "_terms", "_packed")
+    __slots__ = ("variables", "domain", "_terms", "_layout")
 
     def __init__(self, variables: Sequence[str], domain: Domain, terms: Mapping[Exponent, int] | None = None):
         variables = tuple(variables)
@@ -340,7 +334,7 @@ class SparsePoly:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_packed", None)
+        object.__setattr__(self, "_layout", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly is immutable")
@@ -357,22 +351,16 @@ class SparsePoly:
         poly = object.__new__(cls)  # not through __init__: nothing to check
         object.__setattr__(poly, "variables", variables)
         object.__setattr__(poly, "domain", domain)
-        object.__setattr__(poly, "_terms", terms if layout is None else None)
-        object.__setattr__(poly, "_packed", None if layout is None else (layout, terms))
+        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_layout", layout)
         return poly
 
     @property
     def terms(self) -> dict[Exponent, int]:
-        """The term map keyed by exponent tuples.  A result still packed is
-        unpacked the first time, under `_UNPACKING`, so no other thread sees
-        its packed map half emptied, and the packed map is dropped."""
-        if self._packed is not None:
-            with _UNPACKING:
-                if self._packed is not None:  # not unpacked while this thread waited
-                    layout, packed = self._packed
-                    object.__setattr__(self, "_terms", layout.unpacked(packed))
-                    object.__setattr__(self, "_packed", None)
-        return self._terms
+        """The term map keyed by exponent tuples.  A packed result is unpacked
+        into a fresh map at each read, in O(terms), and so at each call of
+        `coefficient` and `==` on it."""
+        return self._terms if self._layout is None else self._layout.unpacked(self._terms)
 
     # ---- constructors -------------------------------------------------
 
@@ -394,8 +382,7 @@ class SparsePoly:
     # ---- queries -------------------------------------------------------
 
     def __bool__(self) -> bool:
-        with _UNPACKING:
-            return bool(self._terms if self._packed is None else self._packed[1])
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
@@ -418,14 +405,12 @@ class SparsePoly:
         and their coefficients.  The packed keys are sorted as ints, and only
         one block's are unpacked at a time; terms keyed by tuples are packed
         in a layout for printing first."""
-        with _UNPACKING:  # the packed map read whole, not while another thread unpacks it
-            if self._packed is None:
-                layout = _print_layout(self.variables, max(map(max, self._terms), default=0).bit_length())
-                packed = layout.pack(self._terms)
-            else:
-                layout, packed = self._packed
-            keys = layout.canonical(packed)
-            coefficients = list(map(packed.__getitem__, keys))
+        layout, packed = self._layout, self._terms
+        if layout is None:
+            layout = _print_layout(self.variables, max(map(max, packed), default=0).bit_length())
+            packed = layout.pack(packed)
+        keys = layout.canonical(packed)
+        coefficients = list(map(packed.__getitem__, keys))
         for start in range(0, len(keys), _BLOCK):
             yield list(layout.exponents(keys[start : start + _BLOCK])), coefficients[start : start + _BLOCK]
 
@@ -446,11 +431,10 @@ class SparsePoly:
 
     def _subtract_in_place(self, other: "SparsePoly") -> "SparsePoly":
         """self - other, made in self's packed term map with other packed into
-        its layout: for a packed result that no one else holds."""
+        its layout: the one write to a made map, for a result no one else holds."""
         self._check_compatible(other)
-        layout, packed = self._packed
-        _add_into(packed, layout.pack((-other).terms), self.domain.p)
-        return SparsePoly._trusted(self.variables, self.domain, packed, reduced=True, layout=layout)
+        _add_into(self._terms, self._layout.pack((-other).terms), self.domain.p)
+        return SparsePoly._trusted(self.variables, self.domain, self._terms, reduced=True, layout=self._layout)
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly._trusted(self.variables, self.domain, {e: -c for e, c in self.terms.items()})
@@ -485,7 +469,7 @@ class SparsePoly:
     def _power_terms(self, trunc: TruncationPolicy, count: int) -> list[dict]:
         """The term maps of self^0 .. self^(count - 1) modulo `trunc`."""
         layout = _Layout(self.variables, trunc, [(count - 1) * d for d in self._degrees()])
-        return [layout.unpacked(packed) for packed in list(map(self._powers(layout), range(count)))]
+        return [layout.unpacked(packed) for packed in map(self._powers(layout), range(count))]
 
     def _powers(self, layout: _Layout):
         """The map k -> self^k packed in `layout`, for every k its degrees
@@ -493,8 +477,8 @@ class SparsePoly:
         once; over Z self^k is its k-th entry.  Over F_p the chain stops below
         p, and self^k below b is the twist of self^(k // p) below ceil(b / p)
         (each key times p) times self^(k mod p): k is walked down to a power
-        made, or below p, then built up.  A power returned may be kept: a
-        caller that empties it takes no further power."""
+        made, or below p, then built up.  A power returned may be one kept
+        for further powers: a caller changes it only once it takes none."""
         p, chains, factors, made = self.domain.p, {}, {}, {}
         rows, weights, weight, _ = layout.factor(layout.pack(self.terms))
         one = layout.pack(SparsePoly.one(self.variables, self.domain).truncate(layout.trunc).terms)
@@ -548,17 +532,20 @@ class SparsePoly:
         # one layout, by the images' degrees times the template's; img^k for
         # each exponent k of each variable, made once, truncated and sorted as
         # a factor; each image's power map is dropped before the products
+        used = [set(column) for column in zip(*self.terms)]  # the template's exponents by variable
         degrees = [0] * len(first.variables)
-        for top, img in zip(self._degrees(), images):
-            degrees = [d + top * g for d, g in zip(degrees, img._degrees())]
+        for ks, img in zip(used, images):
+            degrees = [d + max(ks) * g for d, g in zip(degrees, img._degrees())]
         layout = _Layout(first.variables, trunc, degrees)
-        powers = [{k: layout.factor(power(k)) for k in {e[i] for e in self.terms}}
-                  for i, power in enumerate(img._powers(layout) for img in images)]
+        powers = [{k: layout.factor(power(k)) for k in ks}
+                  for ks, power in zip(used, (img._powers(layout) for img in images))]
 
         # the last factor of each term is multiplied straight into out, scaled
-        # by the term's coefficient; out is reduced and unpacked once, at the end
+        # by the term's coefficient; out is reduced once, at the end.  The
+        # template is unpacked as it is read: no tuple map of it is held as out grows
+        exponents = self._terms if self._layout is None else self._layout.exponents(self._terms)
         out: dict[int, int] = {}
-        for e, c in self.terms.items():
+        for e, c in zip(exponents, self._terms.values()):
             *head, last = [powers[i][k] for i, k in enumerate(e) if k] or [powers[0][0]]
             term = head[0][0] if head else [(0, 1)]
             for factor in head[1:]:

@@ -141,7 +141,7 @@ def test_variable_validation():
     with pytest.raises(StructuralError, match=r"^'z' is not one of \('x', 'y'\)$"):
         SparsePoly.variable(XY, F2, "z")
     for variables in ((), ("x", "x"), ("x", "2y"), ("x", "y z"), ("x\n",), ("x", "y\n")):
-        for _ in range(2):  # a refused variable tuple is not remembered as checked
+        for _ in range(2):  # a second try is refused as the first was
             with pytest.raises(StructuralError):
                 SparsePoly(variables, INTEGERS, {})
     for bad in ({(1,): 1}, {(1, 0, 0): 1}, {(-1, 0): 1}, {(1.0, 0): 1}):  # arity, sign, type
@@ -590,9 +590,9 @@ def grlex(terms):
 
 
 def assert_prints_as(result, want):
-    """`result`, read while still packed, prints as a polynomial built from
-    want's terms prints, and its terms come in graded-lex order."""
-    assert result._packed is not None, "printed after its terms were read"
+    """`result`, a packed result, prints as a polynomial built from want's
+    terms prints, and its terms come in graded-lex order."""
+    assert result._layout is not None, "not a packed result"
     forms = result.to_text(), result.to_json_dict(), result.sorted_terms()
     fresh = SparsePoly(want.variables, want.domain, want.terms)
     assert forms == (fresh.to_text(), fresh.to_json_dict(), fresh.sorted_terms())
@@ -658,16 +658,23 @@ def test_packed_results_print_in_graded_lex_order():
     # variable is not the last, nor when the key holds no total degree
     variables = ("x", "y", "z")
     s = sum((SparsePoly.variable(variables, F3, v) for v in variables[1:]), SparsePoly.variable(variables, F3, "x"))
+    # its terms are read first: each read is a fresh map, and the result stays packed
     for trunc in [NO_TRUNCATION, TruncationPolicy(3)] + [TruncationPolicy(3, v) for v in variables]:
         cube = s.pow(3, trunc)
         want = reference_pow(s, 3, trunc)
+        first, second = cube.terms, cube.terms
+        assert first == second == want.terms and first is not second, trunc
+        first.clear()
+        assert cube.terms == want.terms, trunc
         assert_prints_as(cube, want)
+        for e in [*want.terms, (1, 1, 1), (0, 0, 0)]:  # 3 x*y*z = 0 over F_3
+            assert cube.coefficient(e) == want.coefficient(e), (e, trunc)
         assert cube == want, trunc
 
 
 def test_packed_result_is_read_whole_by_every_thread():
     # two threads unpack one packed result while two print it: each sees
-    # every term, as no thread reads the packed map while another empties it
+    # every term, as no reader writes to the map that all of them share
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     variables = ("x", "y", "z")
