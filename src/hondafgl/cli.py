@@ -19,6 +19,7 @@ line's whole text is built.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import chern as chern_mod
@@ -283,7 +284,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    # frozen, the heap is left to the OS, not walked by the exit collections; main() leaves gc alone
+    try:
+        raise SystemExit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

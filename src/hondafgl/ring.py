@@ -594,9 +594,9 @@ class SparsePoly:
         return f"SparsePoly({self.to_text()!r}, vars={self.variables}, domain={self.domain})"
 
     def to_json_dict(self) -> dict:
-        # each exponent without its trailing zeros
-        terms = [{"e": list(e[: max((i + 1 for i, k in enumerate(e) if k), default=0)]), "c": str(c)}
-                 for exponents, coefficients in self._blocks() for e, c in zip(exponents, coefficients)]
+        # each exponent without its trailing zeros, scanned for them only where it ends in 0
+        terms = [{"e": list(e) if e[-1] else list(e[: max((i + 1 for i, k in enumerate(e) if k), default=0)]),
+                  "c": str(c)} for exponents, coefficients in self._blocks() for e, c in zip(exponents, coefficients)]
         return {"vars": list(self.variables), "domain": self.domain.to_json_dict(), "terms": terms}
 
 

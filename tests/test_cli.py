@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import math
@@ -410,6 +411,72 @@ def test_closed_stdout_pipe_exits_two():
     proc.stderr.close()
     assert proc.wait() == 2
     assert err == "fgl: error: cannot write standard output: Broken pipe\n"
+
+
+# `run()` as the `fgl` script calls it, with an atexit hook that writes the
+# freeze count to the file named by its first argument
+ENTRY = """\
+import atexit, gc, sys
+
+path = sys.argv.pop(1)
+
+def report():
+    with open(path, "w") as f:
+        f.write(str(gc.get_freeze_count()))
+
+atexit.register(report)
+from hondafgl.cli import run
+run()
+"""
+
+
+@pytest.mark.parametrize("argv, status, out, err", [
+    ("compute --p 2 --s 2 --level 2 --json", 0, "compute-p2-s2-l2.json", None),
+    ("compute --p 2", 2, None, "fgl compute: error: the following arguments are required: --s, --level"),
+    ("compute --p 4 --s 2 --level 2", 2, None, "fgl: invalid parameters: p must be prime, got 4"),
+    ("compute --p 2 --s 2 --level 20", 3, None,
+     "fgl: resource guard: the y-cap of level 14 is 16384, beyond the limit 10000"),
+])
+def test_entry_point_freezes_the_heap_on_every_exit(tmp_path, argv, status, out, err):
+    # the exit status, stdout and stderr of main(), and the heap frozen by the
+    # time atexit runs, on success, an argparse error, a bad parameter and a
+    # refusal of the guard
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hondafgl.__file__)))
+    frozen = tmp_path / "freeze_count"
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRY, str(frozen), *argv.split()], cwd=tmp_path, capture_output=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+    )
+    assert proc.returncode == status
+    golden = os.path.join(os.path.dirname(__file__), "golden", out) if out else os.devnull
+    with open(golden, "rb") as f:
+        assert proc.stdout == f.read()
+    lines = proc.stderr.decode().splitlines()
+    if err is None:
+        assert lines == []
+    else:  # argparse's usage comes before its one error line
+        assert lines[-1] == err and (len(lines) == 1) == err.startswith("fgl: ")
+    assert int(frozen.read_text()) > 0
+
+
+def test_library_leaves_the_collector_alone(capsys):
+    # only the process entry point freezes: an import and main() do not
+    # freeze the heap of the program that holds them, nor switch gc off
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hondafgl.__file__)))
+    probe = ("import gc; before = gc.isenabled(), gc.get_freeze_count(); "
+             "import hondafgl, hondafgl.cli, hondafgl.chern, hondafgl.oracle, hondafgl.witt; "
+             "print(before == (gc.isenabled(), gc.get_freeze_count()) == (True, 0))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"True\n", b"")
+    before = gc.isenabled(), gc.get_freeze_count()
+    for argv in (["compute", "--p", "2", "--s", "2", "--level", "2"], ["compute", "--p", "2", "--s", "2", "--level", "20"]):
+        main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    with pytest.raises(SystemExit):
+        main(["compute", "--p", "2"])
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    capsys.readouterr()
 
 
 def test_stdout_write_error_returns_two(monkeypatch, capsys):

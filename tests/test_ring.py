@@ -815,6 +815,22 @@ def test_json_form_documented_example():
     )
 
 
+@pytest.mark.parametrize("variables, terms, want", [
+    (("x", "y", "z"), {(0, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): -3, (2, 0, 1): 4},
+     [{"e": [], "c": "1"}, {"e": [0, 1], "c": "2"}, {"e": [0, 0, 1], "c": "-3"}, {"e": [2, 0, 1], "c": "4"}]),
+    (XY, {(10, 0): 5, (0, 1): 1, (3, 7): -1},
+     [{"e": [0, 1], "c": "1"}, {"e": [10], "c": "5"}, {"e": [3, 7], "c": "-1"}]),
+    (("x",), {(0,): 7, (3,): 1}, [{"e": [], "c": "7"}, {"e": [3], "c": "1"}]),
+])
+def test_json_exponents_drop_only_trailing_zeros(variables, terms, want):
+    # the same terms keyed by tuples and packed, as a product by 1 leaves them
+    f = poly(variables, INTEGERS, terms)
+    packed = f.mul(SparsePoly.one(variables, INTEGERS))
+    assert f._layout is None and packed._layout is not None
+    for g in (f, packed):
+        assert g.to_json_dict() == {"vars": list(variables), "domain": {"kind": "int"}, "terms": want}
+
+
 def test_json_round_trip_random():
     rng = random.Random(31)
     for domain in (INTEGERS, F3):
